@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .forward import FarFieldSamples, FrequencyBand
 from .trajectory import Direction
@@ -80,7 +79,10 @@ def build_operator(samples: FarFieldSamples) -> FarFieldOperator:
     dk = samples.band.dk
     first_col = w * dk
     first_row = np.concatenate(([w[0]], np.conj(w[:-1]))) * dk
-    matrix = scipy.linalg.toeplitz(first_col, first_row)
+    # F[i, j] = first_col[i - j] for i >= j and first_row[j - i] otherwise
+    n = len(w)
+    diagonals = np.concatenate((first_row[:0:-1], first_col))
+    matrix = diagonals[n - 1 + np.subtract.outer(np.arange(n), np.arange(n))]
     return FarFieldOperator(matrix, samples.band, samples.direction)
 
 

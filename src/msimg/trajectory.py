@@ -31,15 +31,8 @@ TWO_PI = 2.0 * math.pi
 # boundary equality counts as observable.
 CLASSIFICATION_TOL = 1e-9
 
-# |h'| below this is treated as zero when hunting sign changes / plateaus.
+# |h'| below this is treated as zero when deciding where h' changes sign.
 PLATEAU_TOL = 1e-10
-
-# Bisection / ternary refinement stops once the bracket is this narrow.
-REFINE_TOL = 1e-10
-
-# Default sample counts for the generic (non closed-form) extremum path.
-DIVISION_SAMPLES = 4096
-EXTREMUM_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -338,7 +331,7 @@ def h_derivative(traj: Trajectory, direction: Direction, t: float,
 
 
 # ---------------------------------------------------------------------------
-# Division points of h'
+# Critical times: division points of h', extrema of h and of the projection
 # ---------------------------------------------------------------------------
 
 def _sign3(x: float) -> int:
@@ -348,115 +341,6 @@ def _sign3(x: float) -> int:
         return -1
     return 0
 
-
-def _bisect_sign_change(f, a, b, fa, fb):
-    while b - a > REFINE_TOL:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if (fa < 0) == (fm < 0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
-
-
-def _bisect_plateau_edge(f, inside, outside):
-    """Locate the boundary between |f| <= tol (at `inside`) and |f| > tol."""
-    a, b = inside, outside
-    while abs(b - a) > REFINE_TOL:
-        m = 0.5 * (a + b)
-        if abs(f(m)) <= PLATEAU_TOL:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def division_points(traj: Trajectory, direction: Direction,
-                    sampling_density: int = DIVISION_SAMPLES) -> list[float]:
-    """Interior times where h' changes sign or a zero plateau starts/ends.
-
-    Found by dense midpoint sampling of each smooth piece plus bisection
-    refinement.  Isolated tangential zeros of h' (no sign change, no
-    plateau of measurable width) are not reported.  Velocity breakpoints
-    where the one-sided signs of h' differ are included.
-    """
-    if sampling_density < 1000:
-        raise ValueError("sampling_density must be at least 1000")
-    _check_dims(traj, direction)
-    iv = traj.interval
-    bks = [float(b) for b in traj.breakpoints() if iv.t_min < b < iv.t_max]
-    bounds = [iv.t_min, *bks, iv.t_max]
-
-    def hp(t):
-        return h_derivative(traj, direction, t)
-
-    found: list[float] = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        n = max(16, int(math.ceil(sampling_density * (b - a) / iv.duration)))
-        step = (b - a) / n
-        ts = a + step * (np.arange(n) + 0.5)
-        vals = np.array([hp(t) for t in ts])
-        signs = np.array([_sign3(v) for v in vals])
-
-        # compress equal-sign runs into (sign, first index, last index)
-        runs = []
-        start = 0
-        for i in range(1, n):
-            if signs[i] != signs[start]:
-                runs.append((signs[start], start, i - 1))
-                start = i
-        runs.append((signs[start], start, n - 1))
-
-        for r, (s, i0, i1) in enumerate(runs):
-            if s != 0:
-                # direct sign change against the next nonzero run
-                if r + 1 < len(runs) and runs[r + 1][0] == -s:
-                    j = runs[r + 1][1]
-                    found.append(_bisect_sign_change(
-                        hp, ts[i1], ts[j], vals[i1], vals[j]))
-                continue
-            # zero run: refine its edges, decide plateau vs tangential touch
-            left = (ts[i0] if i0 == 0 and a == iv.t_min else None)
-            right = (ts[i1] if i1 == n - 1 and b == iv.t_max else None)
-            if i0 > 0:
-                left = _bisect_plateau_edge(hp, ts[i0], ts[i0 - 1])
-            elif a != iv.t_min:
-                left = a  # plateau reaches the breakpoint
-            if i1 < n - 1:
-                right = _bisect_plateau_edge(hp, ts[i1], ts[i1 + 1])
-            elif b != iv.t_max:
-                right = b
-            width = right - left
-            flank_l = runs[r - 1][0] if r > 0 else None
-            flank_r = runs[r + 1][0] if r + 1 < len(runs) else None
-            if width >= step:
-                # genuine plateau: its interior edges are division points
-                if i0 > 0:
-                    found.append(left)
-                if i1 < n - 1:
-                    found.append(right)
-            elif flank_l is not None and flank_r is not None and flank_l == -flank_r:
-                # narrow zero band crossed with a sign change
-                found.append(_bisect_sign_change(
-                    hp, ts[i0 - 1], ts[i1 + 1], vals[i0 - 1], vals[i1 + 1]))
-
-    for b in bks:
-        if _sign3(h_derivative(traj, direction, b, "left")) != \
-           _sign3(h_derivative(traj, direction, b, "right")):
-            found.append(b)
-
-    found.sort()
-    merged: list[float] = []
-    for t in found:
-        if not merged or t - merged[-1] > 1e-8:
-            merged.append(t)
-    return merged
-
-
-# ---------------------------------------------------------------------------
-# Extrema of h and of the direction projection
-# ---------------------------------------------------------------------------
 
 def _arc_critical_times(traj: Arc, direction: Direction, with_time_term: bool):
     """Closed-form interior roots of h' (or of the projection derivative)."""
@@ -485,44 +369,53 @@ def _arc_critical_times(traj: Arc, direction: Direction, with_time_term: bool):
     return out
 
 
-def _ternary_refine(f, a, b, maximize):
-    sgn = 1.0 if maximize else -1.0
-    while b - a > 1e-12:
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if sgn * f(m1) < sgn * f(m2):
-            a = m1
-        else:
-            b = m2
-    return 0.5 * (a + b)
+def _critical_times(traj: Trajectory, direction: Direction,
+                    with_time_term: bool) -> list[float]:
+    """Interior times where h (or x_hat . a) can have an extremum.
+
+    Both are affine on a Line, affine between the vertices of a polyline
+    and sinusoidal, with closed-form turning points, on an Arc.
+    """
+    if isinstance(traj, Line):
+        return []
+    if isinstance(traj, Arc):
+        return _arc_critical_times(traj, direction, with_time_term)
+    return [float(b) for b in traj.breakpoints()]
+
+
+def division_points(traj: Trajectory, direction: Direction) -> list[float]:
+    """Interior times where h' changes sign or a zero plateau starts/ends.
+
+    Exact for every orbit variant.  h' is constant on a Line, so there are
+    none.  On a polyline h' is constant on each segment, and a vertex is a
+    division point when the signs of h' on its two sides differ, a zero
+    plateau (|h'| <= PLATEAU_TOL) next to a nonzero slope included.  On an
+    Arc, h' = 1 - s*r*sin(u) has its interior roots at sin(u) = s/r; they
+    are sign changes once h' dips below -PLATEAU_TOL, i.e. for
+    r > 1 + PLATEAU_TOL, while at r = 1 h' only touches zero tangentially
+    and nothing is reported.
+    """
+    _check_dims(traj, direction)
+    if isinstance(traj, Line):
+        return []
+    if isinstance(traj, Arc):
+        if _sign3(1.0 - traj.radius) >= 0:
+            return []
+        return sorted(_arc_critical_times(traj, direction, with_time_term=True))
+    return [float(b) for b in traj.breakpoints()
+            if _sign3(h_derivative(traj, direction, b, "left"))
+            != _sign3(h_derivative(traj, direction, b, "right"))]
 
 
 def _range_of(traj: Trajectory, direction: Direction, with_time_term: bool):
-    """Exact-where-possible range of h (or of x_hat . a) over the interval."""
+    """Exact range of h (or of x_hat . a) over the interval."""
+    _check_dims(traj, direction)
     iv = traj.interval
-
+    ts = np.array([iv.t_min, iv.t_max,
+                   *_critical_times(traj, direction, with_time_term)])
+    vals = traj.positions(ts) @ direction.vec
     if with_time_term:
-        f_vec = lambda ts: h_values(traj, direction, ts)
-    else:
-        f_vec = lambda ts: traj.positions(np.asarray(ts, dtype=float)) @ direction.vec
-    f = lambda t: float(f_vec(np.array([t]))[0])
-
-    cands = [iv.t_min, iv.t_max]
-    if isinstance(traj, Line):
-        pass  # affine in t: endpoint evaluation is exact
-    elif isinstance(traj, Arc):
-        cands += _arc_critical_times(traj, direction, with_time_term)
-    else:
-        cands += [float(b) for b in traj.breakpoints()]
-        ts = np.linspace(iv.t_min, iv.t_max, EXTREMUM_SAMPLES)
-        vals = f_vec(ts)
-        for maximize in (True, False):
-            i = int(np.argmax(vals) if maximize else np.argmin(vals))
-            a = ts[max(i - 1, 0)]
-            b = ts[min(i + 1, len(ts) - 1)]
-            cands.append(_ternary_refine(f, a, b, maximize))
-
-    vals = f_vec(np.array(cands))
+        vals = ts + vals
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -544,9 +437,10 @@ def xi_extrema(traj: Trajectory, direction: Direction,
                tol: float = CLASSIFICATION_TOL) -> ObservabilityReport:
     """Minimum and maximum of h(t) = t + x_hat . a(t) over the interval.
 
-    Closed-form candidates are used for Line (affine h) and Arc (endpoints
-    plus interior roots of h'); polyline orbits use dense sampling with
-    ternary refinement plus breakpoint candidates.
+    Exact for every orbit variant: h is evaluated at the endpoints and at
+    the interior times where it can turn, i.e. nowhere for a Line (affine
+    h), at the vertices of a polyline (piecewise affine h), and at the
+    closed-form roots of h' for an Arc.
     """
     lo, hi = _range_of(traj, direction, with_time_term=True)
     T = traj.interval.duration
@@ -597,12 +491,17 @@ def strip(traj: Trajectory, direction: Direction) -> Strip:
     """Recoverable strip [xi_min - t_min, xi_max - t_max] along x_hat.
 
     Empty (hi < lo) exactly when the direction is non-observable; callers
-    in multi-direction pipelines skip empty strips silently.
+    in multi-direction pipelines skip empty strips silently.  A direction
+    observable only within CLASSIFICATION_TOL (width == T) gets the
+    degenerate strip lo == hi, a hyperplane, even where rounding puts the
+    raw bounds the wrong way round.
     """
     rep = xi_extrema(traj, direction)
-    return Strip(direction,
-                 rep.xi_min - traj.interval.t_min,
-                 rep.xi_max - traj.interval.t_max)
+    lo = rep.xi_min - traj.interval.t_min
+    hi = rep.xi_max - traj.interval.t_max
+    if rep.observable and hi < lo:
+        lo = hi = 0.5 * (lo + hi)
+    return Strip(direction, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -634,11 +533,8 @@ def theta_domain(traj: Trajectory, directions) -> ThetaDomain:
     """Strip intersection over the observable members of `directions`."""
     if not directions:
         raise ValueError("need at least one direction")
-    kept = []
-    for d in directions:
-        if classify(traj, d):
-            kept.append(strip(traj, d))
-    return ThetaDomain(tuple(kept))
+    strips = (strip(traj, d) for d in directions)
+    return ThetaDomain(tuple(s for s in strips if not s.empty))
 
 
 def contains(domain: ThetaDomain, y) -> bool:

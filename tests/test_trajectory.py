@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
-from msimg.trajectory import angle_in_set
+from msimg.trajectory import PLATEAU_TOL, angle_in_set
 
 TWO_PI = 2 * math.pi
 
@@ -131,11 +133,19 @@ def test_division_points_interior_sign_changes():
     got = m.division_points(arc, m.Direction.from_angle(0.0))
     root = math.asin(1 / (2 * math.sqrt(2)))
     assert_allclose(got, [root, math.pi - root], atol=1e-9)
-
-
-def test_division_points_density_precondition(vertical_line):
-    with pytest.raises(ValueError):
-        m.division_points(vertical_line, m.Direction.from_angle(0.0), 100)
+    # near-tangent: h' = 1 - r sin t dips to 1 - r = -1e-8 on a band only
+    # ~3e-4 wide around pi/2, yet both crossings are sign changes
+    r = 1 + 1e-8
+    arc = m.Arc(center=(0, 0), radius=r, interval=m.TimeInterval(0, math.pi))
+    got = m.division_points(arc, m.Direction.from_angle(0.0))
+    root = math.asin(1 / r)
+    assert_allclose(got, [root, math.pi - root], atol=1e-9)
+    # clockwise: a(t) = 2 (-cos t, sin t) and x_hat = (-1, 0) give
+    # h' = 1 - 2 sin t, zero at pi/6 and 5 pi/6
+    arc = m.Arc(center=(0, 0), radius=2.0, phase=math.pi, orientation=-1,
+                interval=m.TimeInterval(0, math.pi))
+    got = m.division_points(arc, m.Direction.from_angle(math.pi))
+    assert_allclose(got, [math.pi / 6, 5 * math.pi / 6], atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +269,18 @@ def test_strip_vertical_line(vertical_line):
     assert (s0.lo, s0.hi) == (pytest.approx(0.0, abs=1e-12),
                               pytest.approx(0.0, abs=1e-12))
     assert not s0.empty
+
+
+def test_strip_degenerate_on_observability_edge(fast_diagonal):
+    # line_fast.json's direction 11 pi/12: h(t) = -t on [1, 2], width == T
+    # up to rounding; classify accepts it, so the strip is the hyperplane
+    # x_hat . y = -3, not empty
+    d = m.Direction.from_angle(11 * math.pi / 12)
+    assert m.classify(fast_diagonal, d)
+    s = m.strip(fast_diagonal, d)
+    assert not s.empty
+    assert s.lo == s.hi == pytest.approx(-3.0, abs=1e-12)
+    assert len(m.theta_domain(fast_diagonal, [d]).strips) == 1
 
 
 def test_strip_empty_for_non_observable(broken_line):
@@ -427,3 +449,102 @@ def test_time_interval_validation():
         m.TimeInterval(2.0, 1.0)
     with pytest.raises(ValueError):
         m.TimeInterval(-0.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form ranges against dense sampling (property tests)
+# ---------------------------------------------------------------------------
+
+DENSE_SAMPLES = 100_001
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _vectors(dim, bound=3.0):
+    return st.lists(_floats(-bound, bound), min_size=dim,
+                    max_size=dim).map(np.array)
+
+
+@st.composite
+def _orbit_and_direction(draw, kinds=("line", "line3d", "arc", "piecewise",
+                                      "sampled")):
+    """A random Line (2D/3D), Arc or polyline with a matching direction."""
+    kind = draw(st.sampled_from(kinds))
+    t0 = draw(_floats(0.0, 2.0))
+    iv = m.TimeInterval(t0, t0 + draw(_floats(0.05, 8.0)))
+    if kind == "line":
+        dim = 2
+        traj = m.Line(draw(_floats(0.0, 5.0)), angle=draw(_floats(0.0, TWO_PI)),
+                      offset=draw(_vectors(2)), interval=iv)
+    elif kind == "line3d":
+        dim = 3
+        axis = draw(_vectors(3, 1.0))
+        assume(np.linalg.norm(axis) > 0.1)
+        traj = m.Line(draw(_floats(0.0, 5.0)), axis=axis / np.linalg.norm(axis),
+                      offset=draw(_vectors(3)), interval=iv)
+    elif kind == "arc":
+        dim = 2
+        traj = m.Arc(center=draw(_vectors(2)), radius=draw(_floats(0.05, 5.0)),
+                     phase=draw(_floats(0.0, TWO_PI)),
+                     orientation=draw(st.sampled_from([-1, 1])), interval=iv)
+    else:
+        dim = draw(st.sampled_from([2, 3]))
+        gaps = draw(st.lists(_floats(0.05, 2.0), min_size=1, max_size=7))
+        times = t0 + np.concatenate(([0.0], np.cumsum(gaps)))
+        points = draw(st.lists(_vectors(dim), min_size=len(times),
+                               max_size=len(times)))
+        cls = m.Sampled if kind == "sampled" else m.PiecewiseLinear
+        traj = cls(times, np.array(points))
+    if dim == 2:
+        d = m.Direction.from_angle(draw(_floats(0.0, TWO_PI)))
+    else:
+        d = m.Direction.from_angles(draw(_floats(0.0, math.pi)),
+                                    draw(_floats(0.0, TWO_PI)))
+    return traj, d
+
+
+def _dense_range(traj, d, with_time_term):
+    """Range over a dense sample holding the endpoints and every vertex,
+    and how far it may fall inside the true range."""
+    iv = traj.interval
+    ts = np.linspace(iv.t_min, iv.t_max, DENSE_SAMPLES)
+    slack = 0.0
+    if isinstance(traj, m.PiecewiseLinear):
+        ts = np.union1d(ts, traj.times)
+    elif isinstance(traj, m.Arc):
+        # an interior extremum lies within dt/2 of a sample and |h''| <= r
+        slack = traj.radius * (ts[1] - ts[0]) ** 2 / 8
+    vals = traj.positions(ts) @ d.vec + (ts if with_time_term else 0.0)
+    return float(vals.min()), float(vals.max()), slack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_orbit_and_direction())
+def test_ranges_match_dense_sampling(case):
+    traj, d = case
+    rep = m.xi_extrema(traj, d)
+    hull = m.projection_hull(traj, d)
+    for (lo, hi), with_time_term in (((rep.xi_min, rep.xi_max), True),
+                                     (hull, False)):
+        dlo, dhi, slack = _dense_range(traj, d, with_time_term)
+        assert dlo - slack - 1e-9 <= lo <= dlo + 1e-9
+        assert dhi - 1e-9 <= hi <= dhi + slack + 1e-9
+    s = m.strip(traj, d)
+    assert s.empty == (not rep.observable)
+    if not s.empty:
+        assert hull[0] - 1e-9 <= s.lo and s.hi <= hull[1] + 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_orbit_and_direction(kinds=("piecewise", "sampled")))
+def test_polyline_division_points_are_slope_sign_flips(case):
+    traj, d = case
+    slopes = 1.0 + (np.diff(traj.points, axis=0)
+                    / np.diff(traj.times)[:, None]) @ d.vec
+    signs = np.where(slopes > PLATEAU_TOL, 1,
+                     np.where(slopes < -PLATEAU_TOL, -1, 0))
+    flips = [float(traj.times[i + 1]) for i in range(len(slopes) - 1)
+             if signs[i] != signs[i + 1]]
+    assert m.division_points(traj, d) == flips
