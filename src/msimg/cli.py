@@ -200,20 +200,36 @@ def _load_spectra(config: ExperimentConfig, data_dir: Path, mode: str):
     return spectra
 
 
-# fixed decomposition so serial and threaded runs do identical arithmetic
-_CHUNK = 4096
-
-
 def _chunked_sums(spectrum, direction, points, interval, band, threads):
-    chunks = [points[i:i + _CHUNK] for i in range(0, len(points), _CHUNK)]
     work = lambda c: indicator.picard_sums_grid(spectrum, direction, c,
                                                 interval, band)
-    if threads <= 1 or len(chunks) == 1:
-        parts = [work(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, chunks))
-    return np.concatenate(parts)
+    if threads <= 1:
+        return work(points)
+    # split at multiples of the kernel's block so every point goes through
+    # the arithmetic of the serial call and the bytes match
+    step = indicator.POINT_CHUNK * -(-len(points)
+                                     // (threads * indicator.POINT_CHUNK))
+    parts = [points[i:i + step] for i in range(0, len(points), step)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(work, parts)))
+
+
+def _warn_aliasing(directions, planes, band) -> None:
+    """Warn for each direction whose lattice extent along x_hat reaches
+    the indicator's period 2 pi / dk, past which the strip repeats."""
+    period = TWO_PI / band.dk
+    for j, d in enumerate(directions, start=1):
+        extent = 0.0
+        for g2, pts, _ in planes:
+            # a linear function peaks at the corners of each lattice plane
+            r2 = g2.resolution[1]
+            corners = pts[[0, r2 - 1, -r2, -1]] @ d.vec
+            extent = max(extent, float(np.ptp(corners)))
+        if extent >= period:
+            print(f"warning: direction {j} ({_direction_label(d)}): the "
+                  f"lattice spans {extent:.6g} along x_hat, at least the "
+                  f"indicator period 2*pi/dk = {period:.6g}; the strip may "
+                  f"alias", file=sys.stderr)
 
 
 def _field_from_sums(grid, sums, meta) -> ScalarField:
@@ -319,6 +335,7 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir, mode=None,
         for i, spec in enumerate(config.slices, start=1):
             g2, pts3, _ = imaging.slice_grid(config.grid, spec)
             planes.append((g2, pts3, f"_slice{i}"))
+    _warn_aliasing(directions, planes, band)
 
     all_sums = [[] for _ in directions]
     for j, (spec_j, d) in enumerate(zip(spectra, directions), start=1):

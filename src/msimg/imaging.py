@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .trajectory import Strip, ThetaDomain
 
@@ -149,6 +148,8 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
     mask = np.asarray(mask, dtype=bool)
     if not mask.any() or mask.all():
         raise ValueError("mask must be nonempty and non-full")
+    from scipy import ndimage  # deferred: scipy costs most of the import time
+
     shaped = mask.reshape(fld.grid.shape)
     dist = ndimage.distance_transform_edt(~shaped, sampling=fld.grid.spacing())
     outside = (~mask) & (dist.ravel() > margin)
@@ -207,6 +208,9 @@ def write_pgm(path, fld: ScalarField) -> None:
     """8-bit max-normalized P2 heatmap; x1 left-right, x2 bottom-top."""
     if fld.grid.dim != 2:
         raise ValueError("PGM output is 2D only")
+    if not np.all(np.isfinite(fld.values)):
+        raise ValueError(f"{path}: field has non-finite values; a PGM "
+                         "needs finite ones")
     top = float(np.max(fld.values))
     scale = 255.0 / top if top > 0 else 0.0
     img = np.rint(fld.reshaped() * scale).astype(int)  # [i1, i2]

@@ -12,6 +12,15 @@ in the recoverable strip of an observable direction; its reciprocal W is
 the plotted indicator.  For several directions the per-direction series
 are summed, after dropping directions whose series minimum over the search
 grid exceeds a threshold (those behave as non-observable).
+
+Because tau_n = n dk, phi(y) is a geometric sequence in z = e^{-i dk x_hat.y}
+once the point-independent weights sinc(tau_n T / 2) e^{-i tau_n t_mid} are
+split off.  The grid kernel folds those weights and lambda_n^{-1/2} into the
+eigenvectors, G = diag(lambda^{-1/2}) V^H diag(weights), and evaluates the
+series as ||G (z, z^2, ..., z^N)||^2: one exponential per point.  It also
+shows that the series is a trigonometric polynomial in x_hat . y with
+period 2 pi / dk, so a search region wider than that along x_hat sees the
+strip repeated (aliased).
 """
 
 from __future__ import annotations
@@ -27,6 +36,12 @@ from .trajectory import Direction, TimeInterval
 # Default cutoff on min-over-grid Picard sums beyond which a direction is
 # treated as non-observable and removed from multi-direction indicators.
 DEFAULT_THRESHOLD = 3.5e3
+
+# Points per block of the grid kernel.  It bounds the kernel's working set
+# to a few (N, POINT_CHUNK) arrays whatever the number of points; callers
+# that split a point array at multiples of it reproduce the unsplit result
+# bit for bit.
+POINT_CHUNK = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,13 +97,32 @@ def picard_sum(spectrum: Spectrum, phi: TestVector | np.ndarray) -> PicardResult
 def picard_sums_grid(spectrum: Spectrum, direction: Direction,
                      points: np.ndarray, interval: TimeInterval,
                      band: FrequencyBand) -> np.ndarray:
-    """Vectorized Picard sums over many probe points, shape (P,)."""
+    """Vectorized Picard sums over many probe points, shape (P,).
+
+    Evaluates ||G (z, z^2, ..., z^N)||^2 with z = e^{-i dk x_hat . y} and
+    G = diag(lambda^{-1/2}) V^H diag(sinc(tau T / 2) e^{-i tau t_mid}), the
+    floored eigenvalues lambda and eigenvectors V of the spectrum.  The
+    powers of z are running products, built per block of POINT_CHUNK
+    points, so memory stays bounded by the block.  The result is periodic
+    in x_hat . y with period 2 pi / dk.
+    """
     points = np.asarray(points, dtype=float)
     proj = points @ direction.vec
-    phis = _entries_for_projections(proj, interval, band)
-    coef = spectrum.eigenvectors.conj().T @ phis        # (N, P)
-    return (np.abs(coef) ** 2
-            / spectrum.floored_eigenvalues()[:, None]).sum(axis=0)
+    # the test vector at x_hat . y = 0 holds the point-independent weights
+    weights = _entries_for_projections(np.zeros(1), interval, band)[:, 0]
+    G = (spectrum.eigenvectors.conj().T * weights
+         / np.sqrt(spectrum.floored_eigenvalues())[:, None])
+    sums = np.empty(len(proj))
+    for start in range(0, len(proj), POINT_CHUNK):
+        block = proj[start:start + POINT_CHUNK]
+        Z = np.empty((band.n, len(block)), dtype=complex)
+        np.exp(-1j * band.dk * block, out=Z[0])
+        for m in range(1, band.n):
+            np.multiply(Z[m - 1], Z[0], out=Z[m])
+        c = G @ Z
+        sums[start:start + len(block)] = (c.real ** 2
+                                          + c.imag ** 2).sum(axis=0)
+    return sums
 
 
 def indicator_single(spectrum: Spectrum, direction: Direction, y,

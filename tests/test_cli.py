@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,41 @@ def test_image_threads_match_serial(tmp_path, monkeypatch):
         (out4 / "field_1.csv").read_bytes()
 
 
+def test_image_threads_match_serial_across_chunks(tmp_path, monkeypatch):
+    # 101^2 points span five kernel blocks, so the threads split the lattice
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(tmp_path, grid={"bounds": [[-2, 2], [0, 4]],
+                                        "resolution": [101, 101]})
+    assert 101 * 101 >= 3 * m.indicator.POINT_CHUNK
+    data = tmp_path / "data"
+    _run("synth", "--config", path, "--out", data)
+    out1, out2 = tmp_path / "img1", tmp_path / "img2"
+    assert _run("image", "--config", path, "--data", data, "--out", out1) == 0
+    assert _run("image", "--config", path, "--data", data, "--out", out2,
+                "--threads", 2) == 0
+    for name in ("field_1.csv", "field_1.pgm", "field_multi.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("k_max, warned", [(3 * PI, 0), (12 * PI, 1)])
+def test_image_warns_when_lattice_exceeds_period(tmp_path, capsys,
+                                                 monkeypatch, k_max, warned):
+    # N = 18: the period 2 pi / dk is 12 at 3 pi and 3 at 12 pi, against
+    # the lattice's extent 4 along x_hat = (0, 1)
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(tmp_path, band={"k_max": k_max, "count": 18})
+    data = tmp_path / "data"
+    _run("synth", "--config", path, "--out", data)
+    capsys.readouterr()
+    assert _run("image", "--config", path, "--data", data,
+                "--out", tmp_path / "img") == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("warning:")]
+    assert len(warnings) == warned
+    if warned:
+        assert "direction 1" in warnings[0] and "period" in warnings[0]
+
+
 def test_image_3d_slices(tmp_path, monkeypatch):
     monkeypatch.delenv("MSIMG_SEED", raising=False)
     path = _base_config(
@@ -366,3 +405,18 @@ def test_shipped_configs_parse():
         cfg = cli.load_config(root / name)
         assert cfg.band.n == 18
         assert cfg.band.k_max == pytest.approx(3 * PI)
+
+
+# ---------------------------------------------------------------------------
+# package import
+# ---------------------------------------------------------------------------
+
+def test_import_does_not_load_scipy():
+    code = "import sys, msimg.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(m.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -249,6 +249,14 @@ def test_pgm_rejects_3d(tmp_path):
         m.write_pgm(tmp_path / "f.pgm", fld)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_pgm_rejects_non_finite(tmp_path, bad):
+    grid = m.make_grid([(0, 1), (0, 1)], (3, 2))
+    fld = m.ScalarField(grid, np.array([0.0, 1.0, bad, 2.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        m.write_pgm(tmp_path / "f.pgm", fld)
+
+
 # ---------------------------------------------------------------------------
 # Field-vs-oracle invariants
 # ---------------------------------------------------------------------------

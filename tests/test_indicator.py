@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
 
 TWO_PI = 2 * math.pi
+POINT_CHUNK = m.indicator.POINT_CHUNK
 
 
 def _spectrum_for(traj, theta, band, mode=m.MODE_RIGOROUS):
@@ -171,6 +174,70 @@ def test_picard_sums_grid_matches_pointwise(vertical_line, default_band):
     for p, v in zip(pts, grid_vals):
         want = m.picard_sum(spec, m.test_vector(d, p, iv, default_band)).total
         assert v == pytest.approx(want, rel=1e-9)
+
+
+def _rounding_bound(spectrum, result, band, interval, proj):
+    """First-order bound on how far two float64 evaluations of one Picard
+    sum may differ: every test-vector entry carries a phase rounding of
+    about eps (1 + k_max (|t_mid| + |x_hat . y|)), a coefficient c_n sums
+    N entries (|dc_n| <= sqrt(N) times that), and dc_n moves the sum by
+    2 |c_n| |dc_n| / lambda_n."""
+    eps = np.finfo(float).eps
+    delta = eps * math.sqrt(band.n) * (
+        1.0 + band.k_max * (abs(interval.midpoint) + abs(proj)))
+    lam = spectrum.floored_eigenvalues()
+    return 2.0 * delta * float(np.sum(np.sqrt(result.terms / lam)))
+
+
+@pytest.mark.parametrize("mode", [m.MODE_RIGOROUS, m.MODE_PAPER])
+@pytest.mark.parametrize("n", [1, 2, 18, 72])
+@pytest.mark.parametrize("count", [0, 1, 2 * POINT_CHUNK + 37])
+def test_picard_sums_grid_matches_picard_sum(vertical_line, n, mode, count):
+    band = m.FrequencyBand(3 * math.pi, n)
+    spec, d = _spectrum_for(vertical_line, 1.0, band, mode)
+    iv = vertical_line.interval
+    # x_hat . y sweeps [-50, 50]; the offset along the strip varies too
+    s = np.linspace(-50.0, 50.0, count)
+    normal = np.array([-d.vec[1], d.vec[0]])
+    pts = s[:, None] * d.vec + np.sin(7 * s)[:, None] * normal
+    got = m.picard_sums_grid(spec, d, pts, iv, band)
+    assert got.shape == (count,)
+    for g, p, proj in zip(got, pts, s):
+        want = m.picard_sum(spec, m.test_vector(d, p, iv, band))
+        # 1e-9 relative, except where the series is so ill-conditioned
+        # (small sum, components on floored eigenvalues) that rounding
+        # alone moves the reference further
+        tol = max(1e-9 * want.total,
+                  _rounding_bound(spec, want, band, iv, proj))
+        assert abs(g - want.total) <= tol
+
+
+def test_picard_sums_grid_split_at_chunks_bit_identical(vertical_line,
+                                                        default_band):
+    spec, d = _spectrum_for(vertical_line, 1.0, default_band)
+    iv = vertical_line.interval
+    pts = m.make_grid([(-2, 2), (0, 4)], (101, 101)).points()
+    full = m.picard_sums_grid(spec, d, pts, iv, default_band)
+    for a, b in ((0, POINT_CHUNK), (POINT_CHUNK, 3 * POINT_CHUNK),
+                 (2 * POINT_CHUNK, len(pts))):
+        part = m.picard_sums_grid(spec, d, pts[a:b], iv, default_band)
+        assert np.array_equal(part, full[a:b])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(theta=st.floats(0.0, 2 * math.pi), proj=st.floats(-6.0, 6.0),
+       normal=st.floats(-3.0, 3.0))
+def test_picard_sums_grid_period(theta, proj, normal):
+    # tau_n = n dk, so the series is periodic in x_hat . y with 2 pi / dk
+    line = m.Line(1.0, angle=math.pi / 2, offset=(0, 0),
+                  interval=m.TimeInterval(1, 3))
+    band = m.FrequencyBand(3 * math.pi, 18)
+    spec, d = _spectrum_for(line, theta, band)
+    period = 2 * math.pi / band.dk
+    y = proj * d.vec + normal * np.array([-d.vec[1], d.vec[0]])
+    pts = np.array([y, y + period * d.vec])
+    a, b = m.picard_sums_grid(spec, d, pts, line.interval, band)
+    assert b == pytest.approx(a, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
