@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -118,6 +119,14 @@ def _build_directions(spec: dict, dim: int) -> list:
     return out
 
 
+def _integral(value, name: str) -> int:
+    """An integer-valued config number: 18.7 is an error, not 18."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config dict, fill defaults, and build typed components."""
     raw = dict(raw)
@@ -132,13 +141,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     raw.setdefault("output_dir", "out")
 
     traj = _build_trajectory(raw["trajectory"])
-    band = FrequencyBand(raw["band"]["k_max"], int(raw["band"]["count"]))
+    band = FrequencyBand(raw["band"]["k_max"],
+                         _integral(raw["band"]["count"], "band.count"))
     directions = _build_directions(raw["directions"], traj.dim)
     if raw["mode"] not in (MODE_RIGOROUS, MODE_PAPER):
         raise ValidationError(f"unknown mode {raw['mode']!r}")
 
     gspec = raw["grid"]
-    grid = imaging.make_grid(gspec["bounds"], gspec["resolution"])
+    grid = imaging.make_grid(gspec["bounds"],
+                             [_integral(r, "grid.resolution entry")
+                              for r in gspec["resolution"]])
     if grid.dim != traj.dim:
         raise ValidationError(
             f"grid is {grid.dim}D but trajectory is {traj.dim}D")
@@ -150,10 +162,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ValidationError("3D imaging needs at least one slice plane")
 
     noise = NoiseSpec(float(raw["noise"]["delta"]), int(raw["noise"]["seed"]))
+    threshold = float(raw["threshold"])
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValidationError(
+            f"threshold must be finite and >= 0, got {raw['threshold']!r}")
     return ExperimentConfig(raw=raw, trajectory=traj, band=band,
                             directions=directions, mode=raw["mode"],
                             grid=grid, slices=slices, noise=noise,
-                            threshold=float(raw["threshold"]),
+                            threshold=threshold,
                             output_dir=raw["output_dir"])
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,6 +65,9 @@ class ScalarField:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.size,):
             raise ValueError(f"expected {self.grid.size} values, got {v.shape}")
+        if np.isnan(v).any():
+            # +-inf is a legitimate reciprocal of a zero Picard sum; NaN is not
+            raise ValueError("field values contain NaN")
         self.values = v
 
     def reshaped(self) -> np.ndarray:
@@ -179,20 +183,25 @@ def normalize_field(fld: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 def write_field_csv(path, fld: ScalarField) -> None:
-    cols = [f"x{i + 1}" for i in range(fld.grid.dim)]
-    pts = fld.grid.points()
+    """Row-major `x1,x2[,x3],w` rows, every number as `.17g`.
+
+    Each axis value is formatted once; one lattice line along the last
+    axis goes out per write, so memory stays bounded by one line.
+    """
+    grid = fld.grid
+    *lead, last = [[f"{c:.17g}," for c in a] for a in grid.axes()]
+    lines = fld.values.reshape(-1, len(last))
     with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(cols) + ",w\n")
-        for p, v in zip(pts, fld.values):
-            f.write(",".join(f"{c:.17g}" for c in p) + f",{v:.17g}\n")
+        f.write("".join(f"x{i + 1}," for i in range(grid.dim)) + "w\n")
+        for prefix, line in zip(itertools.product(*lead), lines):
+            head = "".join(prefix)
+            f.write("".join([f"{head}{c}{v:.17g}\n"
+                             for c, v in zip(last, line.tolist())]))
 
 
 def write_mask_csv(path, grid: SearchGrid, mask: np.ndarray) -> None:
-    cols = [f"x{i + 1}" for i in range(grid.dim)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(cols) + ",w\n")
-        for p, v in zip(grid.points(), np.asarray(mask, dtype=int)):
-            f.write(",".join(f"{c:.17g}" for c in p) + f",{v}\n")
+    """A boolean mask as a 0/1 field CSV (`.17g` writes 1.0 as `1`)."""
+    write_field_csv(path, ScalarField(grid, np.asarray(mask, dtype=float)))
 
 
 def read_field_csv(path, grid: SearchGrid) -> ScalarField:

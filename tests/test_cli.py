@@ -82,6 +82,21 @@ def test_config_direction_count_shorthand(tmp_path):
         pytest.approx([0.0, PI / 2, PI, 3 * PI / 2])
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"band": {"k_max": 3 * PI, "count": 18.7}}, "band.count"),
+    ({"grid": {"bounds": [[-2, 2], [0, 4]], "resolution": [20.5, 20]}},
+     "grid.resolution"),
+    ({"threshold": -1.0}, "threshold"),
+    ({"threshold": float("nan")}, "threshold"),
+], ids=["fractional_count", "fractional_resolution", "negative_threshold",
+        "nan_threshold"])
+def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
+                                             field):
+    path = _base_config(tmp_path, **overrides)
+    assert _run("classify", "--config", path) == 2
+    assert field in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -390,6 +405,19 @@ def test_compare_grid_mismatch(tmp_path):
     field_path = tmp_path / "field.csv"
     m.write_field_csv(field_path, fld)
     assert _run("compare", "--config", path, "--field", field_path) == 2
+
+
+def test_compare_rejects_nan_field(tmp_path, capsys):
+    path = _base_config(tmp_path)
+    cfg = cli.load_config(path)
+    field_path = tmp_path / "field.csv"
+    m.write_field_csv(field_path, m.ScalarField(cfg.grid,
+                                                np.ones(cfg.grid.size)))
+    lines = field_path.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",nan\n"
+    field_path.write_text("".join(lines))
+    assert _run("compare", "--config", path, "--field", field_path) == 2
+    assert "NaN" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

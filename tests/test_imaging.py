@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
@@ -227,6 +230,103 @@ def test_field_csv_grid_mismatch(tmp_path):
         m.read_field_csv(path, m.make_grid([(-1, 1), (0, 2)], (7, 9)))
 
 
+def _write_csv_per_row(path, grid, values, fmt):
+    """The per-row writer the lattice-line writer replaced, as reference."""
+    cols = [f"x{i + 1}" for i in range(grid.dim)]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(cols) + ",w\n")
+        for p, v in zip(grid.points(), values):
+            f.write(",".join(f"{c:.17g}" for c in p) + "," + fmt(v) + "\n")
+
+
+_AWKWARD_VALUES = [np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e300,
+                   -2.5, 1.0 / 3.0, 123456789.0, 0.1, -7e-12]
+
+
+@pytest.mark.parametrize("bounds, resolution", [
+    ([(-1, 5), (-2, 2)], (7, 13)),
+    ([(-2, 2), (0, 4)], (201, 3)),
+    ([(-1, 5), (-2, 2), (0, 4)], (4, 5, 6)),
+    ([(-0.3, 0.7), (-1, 5), (1e-3, 2e-3)], (2, 3, 11)),
+])
+def test_field_csv_bytes_match_per_row_writer(tmp_path, bounds, resolution):
+    grid = m.make_grid(bounds, resolution)
+    rng = np.random.default_rng(5)
+    vals = rng.choice(_AWKWARD_VALUES, grid.size) * rng.uniform(0.5, 2, grid.size)
+    vals[:len(_AWKWARD_VALUES)] = _AWKWARD_VALUES
+    m.write_field_csv(tmp_path / "new.csv", m.ScalarField(grid, vals))
+    _write_csv_per_row(tmp_path / "ref.csv", grid, vals, lambda v: f"{v:.17g}")
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+    mask = rng.uniform(size=grid.size) < 0.4
+    m.write_mask_csv(tmp_path / "mask.csv", grid, mask)
+    _write_csv_per_row(tmp_path / "mask_ref.csv", grid,
+                       mask.astype(int), str)
+    assert (tmp_path / "mask.csv").read_bytes() == \
+        (tmp_path / "mask_ref.csv").read_bytes()
+
+
+def test_mask_csv_bytes(tmp_path):
+    grid2 = m.make_grid([(0, 1), (-1, 1)], (2, 3))
+    m.write_mask_csv(tmp_path / "m2.csv", grid2,
+                     np.array([True, False, True, False, False, True]))
+    assert (tmp_path / "m2.csv").read_text() == (
+        "x1,x2,w\n"
+        "0,-1,1\n0,0,0\n0,1,1\n"
+        "1,-1,0\n1,0,0\n1,1,1\n")
+    grid3 = m.make_grid([(0, 1), (0, 1), (-0.5, 0.5)], (2, 2, 2))
+    m.write_mask_csv(tmp_path / "m3.csv", grid3, np.arange(8) % 3 == 0)
+    assert (tmp_path / "m3.csv").read_text() == (
+        "x1,x2,x3,w\n"
+        "0,0,-0.5,1\n0,0,0.5,0\n0,1,-0.5,0\n0,1,0.5,1\n"
+        "1,0,-0.5,0\n1,0,0.5,0\n1,1,-0.5,1\n1,1,0.5,0\n")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.sampled_from([2, 3]))
+def test_field_csv_roundtrip_property(tmp_path_factory, data, dim):
+    bounds, resolution = [], []
+    for _ in range(dim):
+        lo = data.draw(st.floats(-50, 50))
+        hi = lo + data.draw(st.floats(1e-3, 50))
+        bounds.append((lo, hi))
+        resolution.append(data.draw(st.integers(2, 6)))
+    grid = m.make_grid(bounds, resolution)
+    vals = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False), min_size=grid.size, max_size=grid.size)))
+    path = tmp_path_factory.mktemp("rt") / "f.csv"
+    m.write_field_csv(path, m.ScalarField(grid, vals))
+    back = m.read_field_csv(path, grid).values
+    assert np.array_equal(back, vals)
+    assert np.array_equal(np.signbit(back), np.signbit(vals))
+
+
+def test_field_csv_memory_bounded_by_one_line(tmp_path):
+    # the whole 601^2 body would be ~22 MB of text; one lattice line of
+    # text plus its floats is well under a megabyte
+    grid = m.make_grid([(-2, 2), (0, 4)], (601, 601))
+    fld = m.ScalarField(grid, np.random.default_rng(3).uniform(0, 1, grid.size))
+    path = tmp_path / "f.csv"
+    tracemalloc.start()
+    try:
+        m.write_field_csv(path, fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    body = path.stat().st_size
+    assert body > 20e6
+    assert peak < body / 20, f"peak {peak} B against a {body} B body"
+
+
+def test_scalar_field_rejects_nan_accepts_inf():
+    grid = m.make_grid([(0, 1), (0, 1)], (2, 2))
+    with pytest.raises(ValueError, match="NaN"):
+        m.ScalarField(grid, np.array([1.0, np.nan, 0.0, 2.0]))
+    fld = m.ScalarField(grid, np.array([np.inf, -np.inf, 0.0, 2.0]))
+    assert np.isinf(fld.values[:2]).all()
+
+
 def test_pgm_format(tmp_path):
     grid = m.make_grid([(0, 1), (0, 1)], (3, 2))
     # values: v(x1, x2) = 2 x1 + x2 -> max at (1, 1)
@@ -252,7 +352,8 @@ def test_pgm_rejects_3d(tmp_path):
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_pgm_rejects_non_finite(tmp_path, bad):
     grid = m.make_grid([(0, 1), (0, 1)], (3, 2))
-    fld = m.ScalarField(grid, np.array([0.0, 1.0, bad, 2.0, 2.0, 3.0]))
+    fld = m.ScalarField(grid, np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0]))
+    fld.values[2] = bad  # the constructor refuses NaN; the array stays mutable
     with pytest.raises(ValueError, match="non-finite"):
         m.write_pgm(tmp_path / "f.pgm", fld)
 
