@@ -5,22 +5,21 @@ from .forward import (FarFieldSamples, FrequencyBand, NoiseSpec,
                       far_field_value, read_farfield_csv, sample_band,
                       write_farfield_csv)
 from .imaging import (ScalarField, SearchGrid, SliceSpec, contrast_metric,
-                      evaluate_field, make_grid, mask_strip, mask_theta,
-                      normalize_field, read_field_csv, slice_field_3d,
-                      write_field_csv, write_mask_csv, write_pgm)
+                      make_grid, mask_strip, mask_theta, read_field_csv,
+                      slice_grid, write_field_csv, write_mask_csv, write_pgm)
 from .indicator import (DEFAULT_THRESHOLD, PicardResult, TestVector,
-                        direction_filter, filtered_field_values,
-                        indicator_multi, indicator_single, picard_sum,
+                        combine_directions, direction_filter,
+                        filtered_field_values, indicator_multi,
+                        indicator_single, indicator_values, picard_sum,
                         picard_sums_grid, test_vector)
 from .spectral import (MODE_PAPER, MODE_RIGOROUS, DiagonalizationError,
                        FarFieldOperator, Spectrum, build_operator,
-                       f_sharp_spectrum, hermitian_abs, hermitian_parts,
-                       write_spectrum_csv)
+                       f_sharp_spectrum, hermitian_abs, hermitian_parts)
 from .trajectory import (Arc, Direction, Line, ObservabilityReport,
                          PiecewiseLinear, Sampled, Strip, ThetaDomain,
-                         TimeInterval, Trajectory, classify, contains,
+                         TimeInterval, Trajectory, classify,
                          division_points, eval_position, eval_velocity,
-                         h_derivative, h_value, observable_set_arc,
+                         h_derivative, h_values, observable_set_arc,
                          observable_set_line, projection_hull, strip,
                          theta_domain, xi_extrema)
 

@@ -29,6 +29,10 @@ from .trajectory import (Arc, Direction, Line, PiecewiseLinear, Sampled,
 
 TWO_PI = 2.0 * math.pi
 
+# Largest |sinc(tau_n T / 2)| taken as zero: at dk T = 2 pi m the rounded
+# weights are ~1e-17, not 0, and W comes out ~1e17 everywhere.
+WEIGHT_FLOOR = 1e-12
+
 
 class ValidationError(ValueError):
     """Configuration or input files are inconsistent."""
@@ -127,6 +131,14 @@ def _integral(value, name: str) -> int:
     return int(value)
 
 
+def _required(raw: dict, section: str, key: str):
+    try:
+        return raw[section][key]
+    except KeyError:
+        raise ValidationError(
+            f"config is missing field {section}.{key}") from None
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config dict, fill defaults, and build typed components."""
     raw = dict(raw)
@@ -141,21 +153,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
     raw.setdefault("output_dir", "out")
 
     traj = _build_trajectory(raw["trajectory"])
-    band = FrequencyBand(raw["band"]["k_max"],
-                         _integral(raw["band"]["count"], "band.count"))
+    band = FrequencyBand(_required(raw, "band", "k_max"),
+                         _integral(_required(raw, "band", "count"),
+                                   "band.count"))
+    if not np.any(np.abs(indicator.band_weights(traj.interval, band))
+                  > WEIGHT_FLOOR):
+        raise ValidationError(
+            f"every test-vector weight sinc(tau_n T / 2) vanishes: "
+            f"dk * T = {band.dk * traj.interval.duration:.6g} is a "
+            f"multiple of 2*pi")
     directions = _build_directions(raw["directions"], traj.dim)
     if raw["mode"] not in (MODE_RIGOROUS, MODE_PAPER):
         raise ValidationError(f"unknown mode {raw['mode']!r}")
 
-    gspec = raw["grid"]
-    grid = imaging.make_grid(gspec["bounds"],
-                             [_integral(r, "grid.resolution entry")
-                              for r in gspec["resolution"]])
+    bounds = _required(raw, "grid", "bounds")
+    resolution = _required(raw, "grid", "resolution")
+    if not isinstance(bounds, list) or not isinstance(resolution, list):
+        raise ValidationError(
+            "grid.bounds and grid.resolution must be per-axis lists")
+    grid = imaging.make_grid(bounds, [_integral(r, "grid.resolution entry")
+                                      for r in resolution])
     if grid.dim != traj.dim:
         raise ValidationError(
             f"grid is {grid.dim}D but trajectory is {traj.dim}D")
     slices = [SliceSpec(int(s["axis"]), float(s["offset"]))
-              for s in gspec.get("slices", [])]
+              for s in raw["grid"].get("slices", [])]
     if slices and grid.dim != 3:
         raise ValidationError("slices are only meaningful for 3D grids")
     if grid.dim == 3 and not slices:
@@ -246,12 +268,6 @@ def _warn_aliasing(directions, planes, band) -> None:
                   f"lattice spans {extent:.6g} along x_hat, at least the "
                   f"indicator period 2*pi/dk = {period:.6g}; the strip may "
                   f"alias", file=sys.stderr)
-
-
-def _field_from_sums(grid, sums, meta) -> ScalarField:
-    with np.errstate(divide="ignore"):
-        vals = np.where(sums > 0.0, 1.0 / sums, np.inf)
-    return ScalarField(grid, vals, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +372,27 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir, mode=None,
     all_sums = [[] for _ in directions]
     for j, (spec_j, d) in enumerate(zip(spectra, directions), start=1):
         _progress(j, total, f"imaging {_direction_label(d)}")
+        meta = {"direction": _direction_label(d), "mode": mode}
         for g2, pts, tag in planes:
             sums = _chunked_sums(spec_j, d, pts, interval, band, threads)
             all_sums[j - 1].append(sums)
-            fld = _field_from_sums(
-                g2, sums, {"direction": _direction_label(d), "mode": mode})
+            fld = ScalarField(g2, indicator.indicator_values(sums), meta)
             imaging.write_field_csv(out / f"field_{j}{tag}.csv", fld)
             imaging.write_pgm(out / f"field_{j}{tag}.pgm", fld)
 
-    kept = indicator.direction_filter(
+    # one filter decision and one combined field over all planes together
+    values, kept = indicator.combine_directions(
         [np.concatenate(s) for s in all_sums], config.threshold)
     dropped = [j + 1 for j in range(total) if j not in kept]
-    if not kept:
+    if values is None:
         print("warning: the filter dropped every direction; no combined field",
               file=sys.stderr)
         print(f"kept 0 of {total} directions; dropped {total}")
         return 0
-    for p, (g2, pts, tag) in enumerate(planes):
-        combined = np.sum([all_sums[j][p] for j in kept], axis=0)
-        fld = _field_from_sums(g2, combined,
-                               {"directions": [j + 1 for j in kept],
-                                "mode": mode})
+    meta = {"directions": [j + 1 for j in kept], "mode": mode}
+    ends = np.cumsum([g2.size for g2, _, _ in planes])[:-1]
+    for (g2, _, tag), vals in zip(planes, np.split(values, ends)):
+        fld = ScalarField(g2, vals, meta)
         imaging.write_field_csv(out / f"field_multi{tag}.csv", fld)
         imaging.write_pgm(out / f"field_multi{tag}.pgm", fld)
     print(f"kept {len(kept)} of {total} directions; dropped {len(dropped)}"
@@ -387,6 +403,8 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir, mode=None,
 def cmd_compare(config: ExperimentConfig, field_path, out_file,
                 margin: float = 0.25) -> int:
     """Metrics of a field CSV against the analytic strip/intersection masks."""
+    if not Path(field_path).is_file():
+        raise ValidationError(f"missing field file {field_path}")
     fld = imaging.read_field_csv(field_path, config.grid)
     argmax = int(np.argmax(fld.values))
     report = {"directions": [], "theta_domain": None}

@@ -43,8 +43,9 @@ class FrequencyBand:
     n: int
 
     def __post_init__(self):
-        if self.k_max <= 0:
-            raise ValueError("k_max must be positive")
+        if not 0 < self.k_max < math.inf:
+            raise ValueError(f"k_max must be positive and finite, got "
+                             f"{self.k_max!r}")
         if self.n < 1:
             raise ValueError("need at least one frequency sample")
 
@@ -162,18 +163,19 @@ def add_noise(samples: FarFieldSamples, noise: NoiseSpec) -> FarFieldSamples:
     """Multiplicative Gaussian perturbation of real and imaginary parts.
 
     Each sample w becomes Re(w)(1 + delta g1) + i Im(w)(1 + delta g2) with
-    independent standard normal g1, g2 clamped to [-1, 1], drawn per sample
-    from a generator seeded by the spec.  delta = 0 returns the input
-    values bit-exactly.
+    independent standard normal g1, g2 clamped to [-1, 1]: row n of one
+    (N, 2) draw from a generator seeded by the spec, the same stream as N
+    draws of two.  delta = 0 returns the input values bit-exactly.
     """
     if noise.delta == 0.0:
         return samples
-    rng = np.random.default_rng(noise.seed)
-    out = np.empty_like(samples.values)
-    for i, w in enumerate(samples.values):
-        g1, g2 = np.clip(rng.standard_normal(2), -1.0, 1.0)
-        out[i] = w.real * (1.0 + noise.delta * g1) \
-            + 1j * w.imag * (1.0 + noise.delta * g2)
+    w = samples.values
+    g = np.clip(np.random.default_rng(noise.seed).standard_normal(
+        (len(w), 2)), -1.0, 1.0)
+    # (1j * Im) * factor keeps the bits of a per-sample loop; 1j * (Im *
+    # factor) turns some +0.0 real parts into -0.0 (delta > 1, Re w = 0)
+    out = w.real * (1.0 + noise.delta * g[:, 0]) \
+        + 1j * w.imag * (1.0 + noise.delta * g[:, 1])
     return replace(samples, values=out)
 
 

@@ -87,12 +87,6 @@ def make_grid(bounds, resolution) -> SearchGrid:
     return SearchGrid(tuple(tuple(b) for b in bounds), tuple(resolution))
 
 
-def evaluate_field(fn, grid: SearchGrid) -> ScalarField:
-    """Apply a point closure to every lattice point in row-major order."""
-    vals = np.array([float(fn(p)) for p in grid.points()])
-    return ScalarField(grid, vals)
-
-
 def slice_grid(grid3: SearchGrid, spec: SliceSpec):
     """2D grid of the remaining axes plus the 3D points on the slice plane.
 
@@ -121,14 +115,6 @@ def slice_grid(grid3: SearchGrid, spec: SliceSpec):
     pts3[:, keep[1]] = pts2[:, 1]
     pts3[:, spec.axis] = snapped
     return grid2, pts3, snapped
-
-
-def slice_field_3d(fn, grid3: SearchGrid, spec: SliceSpec) -> ScalarField:
-    """Evaluate a 3D point closure on one lattice plane; returns a 2D field."""
-    grid2, pts3, snapped = slice_grid(grid3, spec)
-    vals = np.array([float(fn(p)) for p in pts3])
-    return ScalarField(grid2, vals,
-                       metadata={"slice_axis": spec.axis, "slice_offset": snapped})
 
 
 def mask_strip(grid: SearchGrid, s: Strip) -> np.ndarray:
@@ -165,17 +151,6 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
     return {"inside_median": inside_median,
             "outside_median": outside_median,
             "ratio": ratio}
-
-
-def normalize_field(fld: ScalarField) -> ScalarField:
-    """Scale values so the maximum is 1; all-zero fields pass through."""
-    top = float(np.max(fld.values))
-    meta = dict(fld.metadata)
-    if top <= 0.0:
-        meta["zero_scale"] = True
-        return ScalarField(fld.grid, fld.values.copy(), meta)
-    meta["scale"] = top
-    return ScalarField(fld.grid, fld.values / top, meta)
 
 
 # ---------------------------------------------------------------------------

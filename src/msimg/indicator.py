@@ -73,6 +73,16 @@ def _entries_for_projections(projections: np.ndarray, interval: TimeInterval,
     return amp[:, None] * phase
 
 
+def band_weights(interval: TimeInterval, band: FrequencyBand) -> np.ndarray:
+    """Point-independent test-vector weights, shape (N,).
+
+    sinc(tau_n T / 2) e^{-i tau_n t_mid}; they all vanish exactly when
+    dk T is a multiple of 2 pi, and every test vector with them.
+    """
+    # the test vector at x_hat . y = 0
+    return _entries_for_projections(np.zeros(1), interval, band)[:, 0]
+
+
 def test_vector(direction: Direction, y, interval: TimeInterval,
                 band: FrequencyBand) -> TestVector:
     """Test vector of probe point y; depends on y only through x_hat . y."""
@@ -108,9 +118,7 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
     """
     points = np.asarray(points, dtype=float)
     proj = points @ direction.vec
-    # the test vector at x_hat . y = 0 holds the point-independent weights
-    weights = _entries_for_projections(np.zeros(1), interval, band)[:, 0]
-    G = (spectrum.eigenvectors.conj().T * weights
+    G = (spectrum.eigenvectors.conj().T * band_weights(interval, band)
          / np.sqrt(spectrum.floored_eigenvalues())[:, None])
     sums = np.empty(len(proj))
     for start in range(0, len(proj), POINT_CHUNK):
@@ -159,6 +167,26 @@ def indicator_multi(spectra, directions, y, interval: TimeInterval,
     return 1.0 / total if total > 0.0 else float("inf")
 
 
+def indicator_values(sums: np.ndarray) -> np.ndarray:
+    """Indicator W = 1 / S of an array of Picard sums S, +inf where S = 0."""
+    with np.errstate(divide="ignore"):
+        return np.where(sums > 0.0, 1.0 / sums, np.inf)
+
+
+def combine_directions(grid_sums, threshold: float = DEFAULT_THRESHOLD):
+    """Truncated multi-direction indicator from per-direction grid sums.
+
+    `grid_sums` holds one Picard-sum array per direction over the whole
+    search grid.  Returns (values, kept_indices); `values` is the
+    reciprocal of the summed series of the kept directions, or None when
+    the filter drops every direction.
+    """
+    kept = direction_filter(grid_sums, threshold)
+    if not kept:
+        return None, kept
+    return indicator_values(np.sum([grid_sums[j] for j in kept], axis=0)), kept
+
+
 def filtered_field_values(spectra, directions, points: np.ndarray,
                           interval: TimeInterval, band: FrequencyBand,
                           threshold: float = DEFAULT_THRESHOLD):
@@ -167,12 +195,6 @@ def filtered_field_values(spectra, directions, points: np.ndarray,
     Returns (values, kept_indices); `values` is None when every direction
     is dropped by the filter.
     """
-    grids = [picard_sums_grid(spec, d, points, interval, band)
-             for spec, d in zip(spectra, directions)]
-    kept = direction_filter(grids, threshold)
-    if not kept:
-        return None, kept
-    total = np.sum([grids[j] for j in kept], axis=0)
-    with np.errstate(divide="ignore"):
-        values = np.where(total > 0.0, 1.0 / total, np.inf)
-    return values, kept
+    return combine_directions(
+        [picard_sums_grid(spec, d, points, interval, band)
+         for spec, d in zip(spectra, directions)], threshold)

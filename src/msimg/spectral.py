@@ -144,22 +144,3 @@ def f_sharp_spectrum(op: FarFieldOperator, mode: str = MODE_RIGOROUS) -> Spectru
     order = np.argsort(-lam, kind="stable")
     return Spectrum(lam[order], _fix_phases(vecs[:, order]), mode)
 
-
-# ---------------------------------------------------------------------------
-# Optional spectrum dump
-# ---------------------------------------------------------------------------
-
-def write_spectrum_csv(path_eigenvalues, spectrum: Spectrum,
-                       path_eigenvectors=None) -> None:
-    """Dump `n,lambda` rows, plus `n,m,re,im` eigenvector rows if asked."""
-    with open(path_eigenvalues, "w", encoding="utf-8") as f:
-        f.write("n,lambda\n")
-        for i, lam in enumerate(spectrum.eigenvalues, start=1):
-            f.write(f"{i},{lam:.17g}\n")
-    if path_eigenvectors is not None:
-        with open(path_eigenvectors, "w", encoding="utf-8") as f:
-            f.write("n,m,re,im\n")
-            for n in range(spectrum.n):
-                for m in range(spectrum.n):
-                    v = spectrum.eigenvectors[m, n]
-                    f.write(f"{n + 1},{m + 1},{v.real:.17g},{v.imag:.17g}\n")

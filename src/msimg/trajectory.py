@@ -310,12 +310,6 @@ def _check_dims(traj: Trajectory, direction: Direction):
         raise ValueError(f"trajectory is {traj.dim}D but direction is {direction.dim}D")
 
 
-def h_value(traj: Trajectory, direction: Direction, t: float) -> float:
-    """Retarded phase h(t) = t + x_hat . a(t)."""
-    _check_dims(traj, direction)
-    return float(t) + float(direction.vec @ eval_position(traj, t))
-
-
 def h_values(traj: Trajectory, direction: Direction, ts: np.ndarray) -> np.ndarray:
     """Vectorized h over an array of times."""
     _check_dims(traj, direction)
@@ -535,10 +529,6 @@ def theta_domain(traj: Trajectory, directions) -> ThetaDomain:
         raise ValueError("need at least one direction")
     strips = (strip(traj, d) for d in directions)
     return ThetaDomain(tuple(s for s in strips if not s.empty))
-
-
-def contains(domain: ThetaDomain, y) -> bool:
-    return domain.contains(y)
 
 
 # ---------------------------------------------------------------------------

@@ -88,13 +88,27 @@ def test_config_direction_count_shorthand(tmp_path):
      "grid.resolution"),
     ({"threshold": -1.0}, "threshold"),
     ({"threshold": float("nan")}, "threshold"),
+    ({"band": {"k_max": 3 * PI}}, "band.count"),
+    ({"band": {"count": 18}}, "band.k_max"),
+    ({"band": {"k_max": float("inf"), "count": 18}}, "k_max"),
+    ({"grid": {"resolution": [41, 41]}}, "grid.bounds"),
+    ({"grid": {"bounds": [[-2, 2], [0, 4]], "resolution": 20}},
+     "grid.resolution"),
 ], ids=["fractional_count", "fractional_resolution", "negative_threshold",
-        "nan_threshold"])
+        "nan_threshold", "missing_count", "missing_k_max", "infinite_k_max",
+        "missing_bounds", "scalar_resolution"])
 def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
                                              field):
     path = _base_config(tmp_path, **overrides)
     assert _run("classify", "--config", path) == 2
     assert field in capsys.readouterr().err
+
+
+def test_config_rejects_band_with_vanishing_weights(tmp_path, capsys):
+    # N = 1, k_max = pi, T = 2: dk T = 2 pi, so sinc(tau_1 T / 2) = 0
+    path = _base_config(tmp_path, band={"k_max": PI, "count": 1})
+    assert _run("image", "--config", path) == 2
+    assert "vanishes" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +318,13 @@ def test_image_warns_when_lattice_exceeds_period(tmp_path, capsys,
         assert "direction 1" in warnings[0] and "period" in warnings[0]
 
 
-def test_image_3d_slices(tmp_path, monkeypatch):
+def test_image_3d_slices(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MSIMG_SEED", raising=False)
     path = _base_config(
         tmp_path,
         trajectory={"variant": "line", "speed": 1.0, "axis": [0, 0, 1],
                     "offset": [0, 0, 0], "interval": [0.0, 1.0]},
-        directions={"angles": [[PI / 8, PI / 2]]},
+        directions={"angles": [[PI / 8, PI / 2], [PI / 2, 0.0]]},
         grid={"bounds": [[-2, 2]] * 3, "resolution": [17, 17, 17],
               "slices": [{"axis": 0, "offset": 0.0},
                          {"axis": 2, "offset": -2.0}]})
@@ -318,9 +332,25 @@ def test_image_3d_slices(tmp_path, monkeypatch):
     _run("synth", "--config", path, "--out", data)
     out = tmp_path / "img"
     assert _run("image", "--config", path, "--data", data, "--out", out) == 0
-    for tag in ("_slice1", "_slice2"):
-        assert (out / f"field_1{tag}.csv").exists()
-        assert (out / f"field_multi{tag}.csv").exists()
+    assert "kept 2 of 2" in capsys.readouterr().out
+    cfg = cli.load_config(path)
+    spectra = [m.f_sharp_spectrum(m.build_operator(m.read_farfield_csv(
+        data / f"farfield_{j}.csv", d, cfg.band)), cfg.mode)
+        for j, d in enumerate(cfg.directions, start=1)]
+    planes = [m.slice_grid(cfg.grid, s)[:2] for s in cfg.slices]
+    sums = [[m.picard_sums_grid(spec, d, pts, cfg.interval, cfg.band)
+             for _, pts in planes]
+            for spec, d in zip(spectra, cfg.directions)]
+    # direction 1 meets the threshold on slice 1 only: a filter decided per
+    # plane would drop it from slice 2's combined field
+    assert sums[0][0].min() <= cfg.threshold < sums[0][1].min()
+    for p, (g2, _) in enumerate(planes, start=1):
+        for j in (1, 2):
+            fld = m.read_field_csv(out / f"field_{j}_slice{p}.csv", g2)
+            assert np.array_equal(fld.values, 1.0 / sums[j - 1][p - 1])
+        fld = m.read_field_csv(out / f"field_multi_slice{p}.csv", g2)
+        assert np.array_equal(fld.values,
+                              1.0 / (sums[0][p - 1] + sums[1][p - 1]))
 
 
 def test_image_paper_mode_flag(tmp_path, monkeypatch):
@@ -418,6 +448,15 @@ def test_compare_rejects_nan_field(tmp_path, capsys):
     field_path.write_text("".join(lines))
     assert _run("compare", "--config", path, "--field", field_path) == 2
     assert "NaN" in capsys.readouterr().err
+
+
+def test_compare_missing_field_file(tmp_path, capsys):
+    path = _base_config(tmp_path)
+    report = tmp_path / "metrics.json"
+    assert _run("compare", "--config", path, "--field",
+                tmp_path / "field_multi.csv", "--out", report) == 2
+    assert "field_multi.csv" in capsys.readouterr().err
+    assert not report.exists()
 
 
 # ---------------------------------------------------------------------------

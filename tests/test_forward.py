@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
@@ -194,6 +196,35 @@ def test_noise_perturbation_bound():
     diff = np.abs(noisy.values - vals)
     assert np.all(diff <= bound + 1e-15)
     assert diff.mean() <= bound.mean()
+
+
+def _add_noise_per_sample(values, delta, seed):
+    """add_noise as a loop drawing two normals per sample."""
+    rng = np.random.default_rng(seed)
+    out = np.empty_like(values)
+    for i, w in enumerate(values):
+        g1, g2 = np.clip(rng.standard_normal(2), -1.0, 1.0)
+        out[i] = w.real * (1.0 + delta * g1) \
+            + 1j * w.imag * (1.0 + delta * g2)
+    return out
+
+
+_parts = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(parts=st.lists(st.tuples(_parts, _parts), min_size=1, max_size=40),
+       delta=st.floats(min_value=1e-6, max_value=3.0),
+       seed=st.integers(min_value=0, max_value=2 ** 32))
+def test_noise_matches_per_sample_loop_bitwise(parts, delta, seed):
+    # one (n, 2) draw reads the stream n draws of 2 read; -0.0 and
+    # magnitudes near 1e300 included, factors 1 + delta g of either sign
+    vals = np.array([complex(re, im) for re, im in parts])
+    samples = m.FarFieldSamples(m.Direction.from_angle(0.0),
+                                m.FrequencyBand(1.0, len(vals)), vals)
+    got = m.add_noise(samples, m.NoiseSpec(delta, seed)).values
+    want = _add_noise_per_sample(vals, delta, seed)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_noise_rejects_negative_level():

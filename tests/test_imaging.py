@@ -50,51 +50,37 @@ def test_make_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# Field evaluation
+# Slice planes
 # ---------------------------------------------------------------------------
-
-def test_evaluate_field_constant():
-    grid = m.make_grid([(0, 1), (0, 1)], (5, 5))
-    fld = m.evaluate_field(lambda p: 3.5, grid)
-    assert np.all(fld.values == 3.5)
-
-
-def test_evaluate_field_hyperplane_columns():
-    # a closure depending on x1 alone gives identical columns along x2
-    grid = m.make_grid([(0, 1), (0, 1)], (7, 9))
-    fld = m.evaluate_field(lambda p: math.sin(3 * p[0]), grid)
-    img = fld.reshaped()
-    assert np.all(img == img[:, :1])
-
 
 def test_slice_field_constant():
     grid3 = m.make_grid([(-1, 1)] * 3, (5, 5, 5))
-    fld = m.slice_field_3d(lambda p: 2.0, grid3, m.SliceSpec(0, 0.0))
-    assert fld.grid.dim == 2
-    assert np.all(fld.values == 2.0)
-    assert fld.metadata["slice_offset"] == 0.0
+    grid2, pts3, snapped = m.slice_grid(grid3, m.SliceSpec(0, 0.0))
+    assert grid2.dim == 2
+    assert snapped == 0.0
+    assert np.all(pts3[:, 0] == 0.0)
 
 
 def test_slice_field_snaps_offset():
     grid3 = m.make_grid([(-1, 1)] * 3, (5, 5, 5))
     with pytest.warns(UserWarning, match="snapped"):
-        fld = m.slice_field_3d(lambda p: p[2], grid3, m.SliceSpec(2, 0.1))
-    assert fld.metadata["slice_offset"] == pytest.approx(0.0)
-    assert np.all(fld.values == 0.0)
+        _, pts3, snapped = m.slice_grid(grid3, m.SliceSpec(2, 0.1))
+    assert snapped == pytest.approx(0.0)
+    assert np.all(pts3[:, 2] == snapped)
 
 
 def test_slice_field_offset_out_of_bounds():
     grid3 = m.make_grid([(-1, 1)] * 3, (5, 5, 5))
     with pytest.raises(ValueError):
-        m.slice_field_3d(lambda p: 0.0, grid3, m.SliceSpec(1, 2.0))
+        m.slice_grid(grid3, m.SliceSpec(1, 2.0))
 
 
 def test_slice_uses_plane_coordinates():
     grid3 = m.make_grid([(-1, 1)] * 3, (5, 5, 5))
-    fld = m.slice_field_3d(lambda p: p[0] + 10 * p[1] + 100 * p[2], grid3,
-                           m.SliceSpec(1, -1.0))
-    pts2 = fld.grid.points()
-    assert_allclose(fld.values, pts2[:, 0] - 10 + 100 * pts2[:, 1], atol=1e-12)
+    grid2, pts3, _ = m.slice_grid(grid3, m.SliceSpec(1, -1.0))
+    pts2 = grid2.points()
+    assert_allclose(pts3, np.stack([pts2[:, 0], np.full(grid2.size, -1.0),
+                                    pts2[:, 1]], axis=1), atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,36 +160,6 @@ def test_contrast_metric_errors():
     almost_full[0] = False
     with pytest.raises(ValueError):
         m.contrast_metric(fld, almost_full, margin=5.0)
-
-
-def test_normalize_field():
-    grid = m.make_grid([(0, 1), (0, 1)], (5, 5))
-    vals = np.linspace(0, 4, grid.size)
-    fld = m.normalize_field(m.ScalarField(grid, vals))
-    assert fld.values.max() == pytest.approx(1.0)
-    assert fld.metadata["scale"] == pytest.approx(4.0)
-    assert np.argmax(fld.values) == np.argmax(vals)
-
-
-def test_normalize_contrast_invariant(vertical_line, default_band):
-    d = m.Direction.from_angle(math.pi / 2)
-    spec = m.f_sharp_spectrum(m.build_operator(
-        m.sample_band(vertical_line, d, default_band)))
-    grid = m.make_grid([(-2, 2), (0, 4)], (51, 51))
-    sums = m.picard_sums_grid(spec, d, grid.points(), vertical_line.interval,
-                              default_band)
-    fld = m.ScalarField(grid, 1.0 / sums)
-    mask = m.mask_strip(grid, m.strip(vertical_line, d))
-    before = m.contrast_metric(fld, mask, 0.25)["ratio"]
-    after = m.contrast_metric(m.normalize_field(fld), mask, 0.25)["ratio"]
-    assert after == pytest.approx(before, rel=1e-12)
-
-
-def test_normalize_zero_field():
-    grid = m.make_grid([(0, 1), (0, 1)], (3, 3))
-    fld = m.normalize_field(m.ScalarField(grid, np.zeros(grid.size)))
-    assert fld.metadata.get("zero_scale") is True
-    assert np.all(fld.values == 0.0)
 
 
 # ---------------------------------------------------------------------------

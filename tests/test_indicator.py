@@ -249,6 +249,15 @@ def test_filter_infinite_threshold_keeps_all():
     assert m.direction_filter(sums, float("inf")) == [0, 1]
 
 
+def test_combine_directions_reciprocal_of_kept_sum():
+    # direction 1 exceeds the threshold everywhere; a zero sum maps to +inf
+    sums = [np.array([0.0, 1.0, 3.0]), np.array([5e3, 6e3, 7e3]),
+            np.array([0.0, 1.0, 1.0])]
+    vals, kept = m.combine_directions(sums, 3.5e3)
+    assert kept == [0, 2]
+    assert np.array_equal(vals, [np.inf, 0.5, 0.25])
+
+
 def test_filter_mixed_run(vertical_line, default_band):
     grid = m.make_grid([(-2, 2), (0, 4)], (41, 41))
     iv = vertical_line.interval

@@ -198,20 +198,3 @@ def test_floored_eigenvalues(default_band):
     assert np.all(floored[1:] == 2.0 * 1e-14)
     zero = m.Spectrum(np.zeros(2), np.eye(2, dtype=complex), m.MODE_RIGOROUS)
     assert np.all(zero.floored_eigenvalues() > 0)
-
-
-def test_spectrum_csv_dump(tmp_path, vertical_line, default_band):
-    samples = m.sample_band(vertical_line, m.Direction.from_angle(1.0),
-                            default_band)
-    spec = m.f_sharp_spectrum(m.build_operator(samples))
-    p1 = tmp_path / "lam.csv"
-    p2 = tmp_path / "vec.csv"
-    m.write_spectrum_csv(p1, spec, p2)
-    lam_rows = p1.read_text().splitlines()
-    assert lam_rows[0] == "n,lambda"
-    assert len(lam_rows) == spec.n + 1
-    vec_rows = p2.read_text().splitlines()
-    assert vec_rows[0] == "n,m,re,im"
-    assert len(vec_rows) == spec.n * spec.n + 1
-    lam = np.array([float(r.split(",")[1]) for r in lam_rows[1:]])
-    assert_allclose(lam, spec.eigenvalues, rtol=1e-15)

@@ -75,8 +75,9 @@ def test_sampled_matches_table():
 def test_h_vertical_line_side_view(vertical_line):
     # x_hat = (1, 0) is orthogonal to the motion: h(t) = t, h'(t) = 1
     d = m.Direction.from_angle(0.0)
-    for t in (1.0, 1.7, 2.9):
-        assert m.h_value(vertical_line, d, t) == pytest.approx(t, abs=1e-14)
+    ts = np.array([1.0, 1.7, 2.9])
+    assert_allclose(m.h_values(vertical_line, d, ts), ts, atol=1e-14)
+    for t in ts:
         assert m.h_derivative(vertical_line, d, t) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -320,7 +321,7 @@ def test_theta_domain_single_direction(vertical_line):
 def test_theta_domain_all_non_observable(broken_line):
     dom = m.theta_domain(broken_line, [m.Direction.from_angle(math.pi / 4)])
     assert dom.empty
-    assert not m.contains(dom, (2.5, 2.5))
+    assert not dom.contains((2.5, 2.5))
 
 
 def test_theta_domain_requires_directions(vertical_line):
@@ -361,7 +362,7 @@ def test_xi_range_contains_endpoint_values():
         d = m.Direction.from_angle(float(rng.uniform(0, TWO_PI)))
         rep = m.xi_extrema(traj, d)
         iv = traj.interval
-        ends = [m.h_value(traj, d, iv.t_min), m.h_value(traj, d, iv.t_max)]
+        ends = m.h_values(traj, d, np.array([iv.t_min, iv.t_max]))
         assert rep.xi_min <= min(ends) + 1e-9
         assert rep.xi_max >= max(ends) - 1e-9
 
