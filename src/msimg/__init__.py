@@ -10,8 +10,8 @@ from .imaging import (ScalarField, SearchGrid, SliceSpec, contrast_metric,
 from .indicator import (DEFAULT_THRESHOLD, PicardResult, TestVector,
                         combine_directions, direction_filter,
                         filtered_field_values, indicator_multi,
-                        indicator_single, indicator_values, picard_sum,
-                        picard_sums_grid, test_vector)
+                        indicator_single, picard_sum, picard_sums_grid,
+                        test_vector)
 from .spectral import (MODE_PAPER, MODE_RIGOROUS, DiagonalizationError,
                        FarFieldOperator, Spectrum, build_operator,
                        f_sharp_spectrum, hermitian_abs, hermitian_parts)

@@ -372,11 +372,10 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir, mode=None,
     all_sums = [[] for _ in directions]
     for j, (spec_j, d) in enumerate(zip(spectra, directions), start=1):
         _progress(j, total, f"imaging {_direction_label(d)}")
-        meta = {"direction": _direction_label(d), "mode": mode}
         for g2, pts, tag in planes:
             sums = _chunked_sums(spec_j, d, pts, interval, band, threads)
             all_sums[j - 1].append(sums)
-            fld = ScalarField(g2, indicator.indicator_values(sums), meta)
+            fld = ScalarField(g2, indicator.indicator_values(sums))
             imaging.write_field_csv(out / f"field_{j}{tag}.csv", fld)
             imaging.write_pgm(out / f"field_{j}{tag}.pgm", fld)
 
@@ -389,10 +388,9 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir, mode=None,
               file=sys.stderr)
         print(f"kept 0 of {total} directions; dropped {total}")
         return 0
-    meta = {"directions": [j + 1 for j in kept], "mode": mode}
     ends = np.cumsum([g2.size for g2, _, _ in planes])[:-1]
     for (g2, _, tag), vals in zip(planes, np.split(values, ends)):
-        fld = ScalarField(g2, vals, meta)
+        fld = ScalarField(g2, vals)
         imaging.write_field_csv(out / f"field_multi{tag}.csv", fld)
         imaging.write_pgm(out / f"field_multi{tag}.pgm", fld)
     print(f"kept {len(kept)} of {total} directions; dropped {len(dropped)}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,11 +55,10 @@ class SearchGrid:
 
 @dataclass(eq=False)
 class ScalarField:
-    """Values over a SearchGrid in row-major order plus run metadata."""
+    """Values over a SearchGrid in row-major order."""
 
     grid: SearchGrid
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

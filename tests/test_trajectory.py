@@ -76,7 +76,7 @@ def test_h_vertical_line_side_view(vertical_line):
     # x_hat = (1, 0) is orthogonal to the motion: h(t) = t, h'(t) = 1
     d = m.Direction.from_angle(0.0)
     ts = np.array([1.0, 1.7, 2.9])
-    assert_allclose(m.h_values(vertical_line, d, ts), ts, atol=1e-14)
+    assert_allclose(m.h_values(vertical_line, d, ts), ts, rtol=0, atol=1e-14)
     for t in ts:
         assert m.h_derivative(vertical_line, d, t) == pytest.approx(1.0, abs=1e-14)
 
