@@ -76,19 +76,25 @@ class ExperimentConfig:
 def _build_trajectory(spec: dict) -> traj_mod.Trajectory:
     try:
         variant = spec["variant"]
+        if variant in ("line", "arc"):
+            interval = TimeInterval(*_pair(spec["interval"],
+                                           "trajectory.interval"))
         if variant == "line":
-            interval = TimeInterval(*spec["interval"])
+            speed = _number(spec["speed"], "trajectory.speed")
             if "angle" in spec:
-                return Line(speed=spec["speed"], angle=spec["angle"],
+                return Line(speed=speed,
+                            angle=_number(spec["angle"], "trajectory.angle"),
                             offset=spec.get("offset"), interval=interval)
-            return Line(speed=spec["speed"], axis=np.asarray(spec["axis"], float),
+            return Line(speed=speed, axis=np.asarray(spec["axis"], float),
                         offset=spec.get("offset"), interval=interval)
         if variant == "arc":
             return Arc(center=np.asarray(spec["center"], float),
-                       radius=spec.get("radius", 1.0),
-                       phase=spec.get("phase", 0.0),
+                       radius=_number(spec.get("radius", 1.0),
+                                      "trajectory.radius"),
+                       phase=_number(spec.get("phase", 0.0),
+                                     "trajectory.phase"),
                        orientation=spec.get("orientation", 1),
-                       interval=TimeInterval(*spec["interval"]))
+                       interval=interval)
         if variant in ("piecewise", "sampled"):
             cls = PiecewiseLinear if variant == "piecewise" else Sampled
             return cls(np.asarray(spec["times"], float),
@@ -102,33 +108,52 @@ def _build_directions(spec: dict, dim: int) -> list:
     if "count" in spec:
         if dim != 2:
             raise ValidationError("direction count shorthand is 2D only")
-        m = int(spec["count"])
+        m = _integral(spec["count"], "directions.count")
         if m < 1:
             raise ValidationError("direction count must be positive")
         return [Direction.from_angle((j - 1) * TWO_PI / m)
                 for j in range(1, m + 1)]
     angles = spec.get("angles")
-    if not angles:
-        raise ValidationError("directions need either 'count' or 'angles'")
-    out = []
-    for a in angles:
-        if dim == 2:
-            if not np.isscalar(a):
-                raise ValidationError("2D directions are single angles")
-            out.append(Direction.from_angle(float(a)))
-        else:
-            if np.isscalar(a) or len(a) != 2:
-                raise ValidationError("3D directions are [theta, phi] pairs")
-            out.append(Direction.from_angles(float(a[0]), float(a[1])))
-    return out
+    if not isinstance(angles, list) or not angles:
+        raise ValidationError(
+            "directions need either 'count' or a nonempty 'angles' list")
+    if dim == 2:
+        return [Direction.from_angle(_number(a, "directions.angles entry"))
+                for a in angles]
+    return [Direction.from_angles(*_pair(a, "directions.angles entry"))
+            for a in angles]
+
+
+def _number(value, name: str) -> float:
+    """A real config number: "3", [3] and true are errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integral(value, name: str) -> int:
     """An integer-valued config number: 18.7 is an error, not 18."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
+    if not _number(value, name).is_integer():
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _pair(value, name: str) -> list[float]:
+    """A two-number config list such as [lo, hi]."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValidationError(f"{name} must be a pair of numbers, got "
+                              f"{value!r}")
+    return [_number(v, name) for v in value]
+
+
+def _section(raw: dict, key: str) -> dict:
+    """A config section that must be a JSON object."""
+    if key not in raw:
+        raise ValidationError(f"config is missing section {key!r}")
+    if not isinstance(raw[key], dict):
+        raise ValidationError(f"config section {key!r} must be an object, "
+                              f"got {raw[key]!r}")
+    return raw[key]
 
 
 def _required(raw: dict, section: str, key: str):
@@ -141,19 +166,23 @@ def _required(raw: dict, section: str, key: str):
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config dict, fill defaults, and build typed components."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config must be a JSON object, got "
+                              f"{type(raw).__name__}")
     raw = dict(raw)
     for key in ("trajectory", "band", "directions", "grid"):
-        if key not in raw:
-            raise ValidationError(f"config is missing section {key!r}")
+        _section(raw, key)
     raw.setdefault("mode", MODE_RIGOROUS)
-    raw.setdefault("noise", {"delta": 0.0, "seed": 0})
-    raw["noise"] = {"delta": raw["noise"].get("delta", 0.0),
-                    "seed": int(raw["noise"].get("seed", 0))}
+    raw.setdefault("noise", {})
+    noise = _section(raw, "noise")
+    raw["noise"] = {"delta": _number(noise.get("delta", 0.0), "noise.delta"),
+                    "seed": _integral(noise.get("seed", 0), "noise.seed")}
     raw.setdefault("threshold", indicator.DEFAULT_THRESHOLD)
     raw.setdefault("output_dir", "out")
 
     traj = _build_trajectory(raw["trajectory"])
-    band = FrequencyBand(_required(raw, "band", "k_max"),
+    band = FrequencyBand(_number(_required(raw, "band", "k_max"),
+                                 "band.k_max"),
                          _integral(_required(raw, "band", "count"),
                                    "band.count"))
     if not np.any(np.abs(indicator.band_weights(traj.interval, band))
@@ -171,8 +200,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(bounds, list) or not isinstance(resolution, list):
         raise ValidationError(
             "grid.bounds and grid.resolution must be per-axis lists")
-    grid = imaging.make_grid(bounds, [_integral(r, "grid.resolution entry")
-                                      for r in resolution])
+    grid = imaging.make_grid([_pair(b, "grid.bounds entry") for b in bounds],
+                             [_integral(r, "grid.resolution entry")
+                              for r in resolution])
     if grid.dim != traj.dim:
         raise ValidationError(
             f"grid is {grid.dim}D but trajectory is {traj.dim}D")
@@ -183,8 +213,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if grid.dim == 3 and not slices:
         raise ValidationError("3D imaging needs at least one slice plane")
 
-    noise = NoiseSpec(float(raw["noise"]["delta"]), int(raw["noise"]["seed"]))
-    threshold = float(raw["threshold"])
+    noise = NoiseSpec(raw["noise"]["delta"], raw["noise"]["seed"])
+    threshold = _number(raw["threshold"], "threshold")
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValidationError(
             f"threshold must be finite and >= 0, got {raw['threshold']!r}")

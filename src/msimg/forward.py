@@ -192,14 +192,12 @@ def write_farfield_csv(path, samples: FarFieldSamples) -> None:
 
 
 def read_farfield_csv(path, direction: Direction,
-                      band: FrequencyBand | None = None) -> FarFieldSamples:
-    """Load samples; when `band` is given the file grid must match it."""
+                      band: FrequencyBand) -> FarFieldSamples:
+    """Load samples; the file's frequency grid must match `band`."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     ks = data[:, 0]
-    vals = data[:, 1] + 1j * data[:, 2]
-    if band is None:
-        dk = 2.0 * ks[0]
-        band = FrequencyBand(dk * len(ks), len(ks))
+    vals = np.empty(len(ks), dtype=complex)  # re + 1j * im drops -0.0 parts
+    vals.real, vals.imag = data[:, 1], data[:, 2]
     if len(ks) != band.n or not np.allclose(ks, band.midpoints(), atol=1e-9):
         raise ValueError(f"{path}: frequency grid does not match the band")
     return FarFieldSamples(direction, band, vals)

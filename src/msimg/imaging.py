@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -126,6 +127,38 @@ def mask_theta(grid: SearchGrid, domain: ThetaDomain) -> np.ndarray:
     return domain.contains_many(grid.points())
 
 
+def _within_margin(mask: np.ndarray, spacing, margin: float) -> np.ndarray:
+    """Lattice points with a `mask` point at most `margin` away.
+
+    The same set as scipy's `distance_transform_edt(~mask, sampling=
+    spacing) <= margin`, with the distance computed as it does: the square
+    root of the sum, in axis order, of (offset * spacing)**2.  For one
+    offset along the leading axes the reachable last-axis offsets form a
+    range |j| <= J, so a cumulative-sum window ORs them in one step.
+    """
+    shape, n_last = mask.shape, mask.shape[-1]
+    reach = [min(int(margin / h) + 1, n - 1) for h, n in zip(spacing, shape)]
+    counts = np.zeros(shape[:-1] + (n_last + 1,), dtype=np.int64)
+    np.cumsum(mask, axis=-1, out=counts[..., 1:])
+    idx = np.arange(n_last)
+    last = np.arange(reach[-1] + 1) * spacing[-1]
+    last_sq = last * last
+    near = np.zeros(shape, dtype=bool)
+    for off in itertools.product(*(range(-r, r + 1) for r in reach[:-1])):
+        lead_sq = 0.0
+        for o, h in zip(off, spacing):
+            lead_sq += (o * h) * (o * h)
+        J = int(np.count_nonzero(np.sqrt(lead_sq + last_sq) <= margin)) - 1
+        if J < 0:
+            continue
+        window = (counts[..., np.minimum(idx + J, n_last - 1) + 1]
+                  > counts[..., np.maximum(idx - J, 0)])
+        dst = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, shape))
+        src = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, shape))
+        near[dst] |= window[src]
+    return near
+
+
 def contrast_metric(fld: ScalarField, mask: np.ndarray,
                     margin: float = 0.25) -> dict:
     """Inside/outside medians of a field against a boolean mask.
@@ -134,14 +167,13 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
     the lattice) are excluded, so the indicator's smooth shoulder at the
     strip boundary does not dilute the outside statistic.
     """
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
     mask = np.asarray(mask, dtype=bool)
     if not mask.any() or mask.all():
         raise ValueError("mask must be nonempty and non-full")
-    from scipy import ndimage  # deferred: scipy costs most of the import time
-
-    shaped = mask.reshape(fld.grid.shape)
-    dist = ndimage.distance_transform_edt(~shaped, sampling=fld.grid.spacing())
-    outside = (~mask) & (dist.ravel() > margin)
+    outside = ~_within_margin(mask.reshape(fld.grid.shape),
+                              fld.grid.spacing(), margin).ravel()
     if not outside.any():
         raise ValueError("no outside points remain after margin exclusion")
     inside_median = float(np.median(fld.values[mask]))
@@ -187,6 +219,9 @@ def read_field_csv(path, grid: SearchGrid) -> ScalarField:
     return ScalarField(grid, data[:, -1])
 
 
+_PGM_LEVELS = [str(v) for v in range(256)]
+
+
 def write_pgm(path, fld: ScalarField) -> None:
     """8-bit max-normalized P2 heatmap; x1 left-right, x2 bottom-top."""
     if fld.grid.dim != 2:
@@ -194,11 +229,14 @@ def write_pgm(path, fld: ScalarField) -> None:
     if not np.all(np.isfinite(fld.values)):
         raise ValueError(f"{path}: field has non-finite values; a PGM "
                          "needs finite ones")
+    if np.any(fld.values < 0):
+        raise ValueError(f"{path}: field has negative values; a PGM "
+                         "needs nonnegative ones")
     top = float(np.max(fld.values))
     scale = 255.0 / top if top > 0 else 0.0
     img = np.rint(fld.reshaped() * scale).astype(int)  # [i1, i2]
     rows = img.T[::-1]  # top row = largest x2
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"P2\n{rows.shape[1]} {rows.shape[0]}\n255\n")
-        for row in rows:
-            f.write(" ".join(str(v) for v in row) + "\n")
+        for row in rows.tolist():
+            f.write(" ".join([_PGM_LEVELS[v] for v in row]) + "\n")

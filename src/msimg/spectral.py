@@ -60,10 +60,10 @@ class Spectrum:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def floored_eigenvalues(self, rel_floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
-        """Eigenvalues with a relative floor so Picard terms stay finite."""
+    def floored_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues floored at EIGENVALUE_FLOOR * lambda_max."""
         lam_max = float(np.max(self.eigenvalues, initial=0.0))
-        floor = rel_floor * lam_max
+        floor = EIGENVALUE_FLOOR * lam_max
         if floor <= 0.0:
             floor = np.finfo(float).tiny
         return np.maximum(self.eigenvalues, floor)

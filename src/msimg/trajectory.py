@@ -427,8 +427,7 @@ class ObservabilityReport:
         return self.xi_max - self.xi_min
 
 
-def xi_extrema(traj: Trajectory, direction: Direction,
-               tol: float = CLASSIFICATION_TOL) -> ObservabilityReport:
+def xi_extrema(traj: Trajectory, direction: Direction) -> ObservabilityReport:
     """Minimum and maximum of h(t) = t + x_hat . a(t) over the interval.
 
     Exact for every orbit variant: h is evaluated at the endpoints and at
@@ -438,13 +437,12 @@ def xi_extrema(traj: Trajectory, direction: Direction,
     """
     lo, hi = _range_of(traj, direction, with_time_term=True)
     T = traj.interval.duration
-    return ObservabilityReport(lo, hi, T, observable=(hi - lo >= T - tol))
+    return ObservabilityReport(lo, hi, T, hi - lo >= T - CLASSIFICATION_TOL)
 
 
-def classify(traj: Trajectory, direction: Direction,
-             tol: float = CLASSIFICATION_TOL) -> bool:
-    """True when the direction is observable: xi_max - xi_min >= T - tol."""
-    return xi_extrema(traj, direction, tol).observable
+def classify(traj: Trajectory, direction: Direction) -> bool:
+    """Observable: xi_max - xi_min >= T - CLASSIFICATION_TOL."""
+    return xi_extrema(traj, direction).observable
 
 
 def projection_hull(traj: Trajectory, direction: Direction) -> tuple[float, float]:
@@ -582,14 +580,13 @@ def observable_set_arc(interval: TimeInterval) -> list[tuple[float, float]]:
     return _canonical_intervals([(mid, mid + math.pi)])
 
 
-def angle_in_set(intervals: list[tuple[float, float]], theta: float,
-                 tol: float = 0.0) -> bool:
+def angle_in_set(intervals: list[tuple[float, float]], theta: float) -> bool:
     """Membership of theta modulo 2 pi in a canonical interval list."""
     th = theta % TWO_PI
     for lo, hi in intervals:
-        if lo - tol <= th <= hi + tol:
+        if lo <= th <= hi:
             return True
         # endpoints touching the wrap seam
-        if th + TWO_PI <= hi + tol or th - TWO_PI >= lo - tol:
+        if th + TWO_PI <= hi or th - TWO_PI >= lo:
             return True
     return False

@@ -94,12 +94,29 @@ def test_config_direction_count_shorthand(tmp_path):
     ({"grid": {"resolution": [41, 41]}}, "grid.bounds"),
     ({"grid": {"bounds": [[-2, 2], [0, 4]], "resolution": 20}},
      "grid.resolution"),
+    ({"band": 5}, "'band'"),
+    ({"band": {"k_max": "3", "count": 18}}, "band.k_max"),
+    ({"grid": {"bounds": [1, [0, 4]], "resolution": [41, 41]}},
+     "grid.bounds"),
+    ({"noise": 3}, "'noise'"),
+    ({"trajectory": [1]}, "'trajectory'"),
+    ({"trajectory": {"variant": "line", "speed": 1.0, "angle": PI / 2,
+                     "interval": [1.0]}}, "trajectory.interval"),
+    ({"directions": {"count": 2.7}}, "directions.count"),
+    ([1], "JSON object"),
 ], ids=["fractional_count", "fractional_resolution", "negative_threshold",
         "nan_threshold", "missing_count", "missing_k_max", "infinite_k_max",
-        "missing_bounds", "scalar_resolution"])
+        "missing_bounds", "scalar_resolution", "band_not_object",
+        "string_k_max", "bounds_entry_not_pair", "noise_not_object",
+        "trajectory_not_object", "one_element_interval",
+        "fractional_direction_count", "top_level_list"])
 def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
                                              field):
-    path = _base_config(tmp_path, **overrides)
+    if isinstance(overrides, dict):
+        path = _base_config(tmp_path, **overrides)
+    else:  # the whole config is not a JSON object
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(overrides))
     assert _run("classify", "--config", path) == 2
     assert field in capsys.readouterr().err
 
@@ -450,6 +467,20 @@ def test_compare_rejects_nan_field(tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("margin", ["inf", "nan", "-0.1"])
+def test_compare_rejects_bad_margin(tmp_path, capsys, margin):
+    path = _base_config(tmp_path)
+    cfg = cli.load_config(path)
+    field_path = tmp_path / "field.csv"
+    m.write_field_csv(field_path, m.ScalarField(cfg.grid,
+                                                np.ones(cfg.grid.size)))
+    report = tmp_path / "metrics.json"
+    assert _run("compare", "--config", path, "--field", field_path,
+                "--margin", margin, "--out", report) == 2
+    assert "margin" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_compare_missing_field_file(tmp_path, capsys):
     path = _base_config(tmp_path)
     report = tmp_path / "metrics.json"
@@ -478,12 +509,26 @@ def test_shipped_configs_parse():
 # package import
 # ---------------------------------------------------------------------------
 
-def test_import_does_not_load_scipy():
-    code = "import sys, msimg.cli; print('scipy' in sys.modules)"
+def test_import_does_not_load_scipy(tmp_path):
+    # numpy is the only runtime dependency: a whole compare run, margin
+    # exclusion included, must not import scipy
+    path = _base_config(tmp_path)
+    cfg = cli.load_config(path)
+    mask = m.mask_strip(cfg.grid, m.strip(cfg.trajectory, cfg.directions[0]))
+    field_path = tmp_path / "field.csv"
+    m.write_field_csv(field_path,
+                      m.ScalarField(cfg.grid, np.where(mask, 1.0, 1e-9)))
+    report = tmp_path / "metrics.json"
+    code = ("import sys, msimg.cli; print('scipy' in sys.modules); "
+            "rc = msimg.cli.main(sys.argv[1:]); "
+            "print(rc, 'scipy' in sys.modules)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(m.__file__).parent.parent), env.get("PYTHONPATH", "")])
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+    res = subprocess.run([sys.executable, "-c", code, "compare", "--config",
+                          str(path), "--field", str(field_path), "--out",
+                          str(report)],
+                         env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.split("\n")[:2] == ["False", "0 False"]
+    assert json.loads(report.read_text())["directions"][0]["ratio"] >= 1e6

@@ -247,6 +247,27 @@ def test_farfield_csv_roundtrip(tmp_path, vertical_line, default_band):
     assert np.array_equal(back.values, samples.values)
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(parts=st.lists(st.tuples(_finite, _finite), min_size=1, max_size=30),
+       extremes=st.lists(st.sampled_from(
+           [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300]),
+           min_size=2, max_size=2))
+def test_farfield_csv_roundtrip_bit_exact(tmp_path_factory, parts, extremes):
+    # `.17g` text and loadtxt give back every finite double bit for bit:
+    # -0.0, subnormals and magnitudes near 1e300 included
+    vals = np.array([complex(*extremes)]
+                    + [complex(re, im) for re, im in parts])
+    band = m.FrequencyBand(3 * math.pi, len(vals))
+    d = m.Direction.from_angle(0.5)
+    path = tmp_path_factory.mktemp("ff") / "ff.csv"
+    m.write_farfield_csv(path, m.FarFieldSamples(d, band, vals))
+    back = m.read_farfield_csv(path, d, band).values
+    assert np.array_equal(back.view(np.uint64), vals.view(np.uint64))
+
+
 def test_farfield_csv_band_mismatch(tmp_path, vertical_line, default_band):
     d = m.Direction.from_angle(2.0)
     samples = m.sample_band(vertical_line, d, default_band)

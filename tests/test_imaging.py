@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import ndimage
 
 import msimg as m
+from msimg.imaging import _within_margin
 
 from conftest import edge_allowance, half_max_spill
 
@@ -162,6 +164,47 @@ def test_contrast_metric_errors():
         m.contrast_metric(fld, almost_full, margin=5.0)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.sampled_from([2, 3]))
+def test_within_margin_matches_distance_transform(data, dim):
+    # the numpy margin set against scipy's exact EDT on random masks;
+    # "axis" and "lattice" margins equal a lattice distance exactly (ties),
+    # which density 0 (one mask point, at the corner) puts on the boundary
+    shape = tuple(data.draw(st.lists(st.integers(2, 24 if dim == 2 else 9),
+                                     min_size=dim, max_size=dim)))
+    spacing = np.array(data.draw(st.lists(
+        st.sampled_from([0.02, 0.05, 0.1, 1 / 3])
+        | st.floats(0.01, 1.0), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    density = data.draw(st.sampled_from([0.0, 0.02, 0.1, 0.5]))
+    mask = rng.random(shape) < density
+    mask.flat[0] = True
+    kind = data.draw(st.sampled_from(["free", "axis", "lattice"]))
+    if kind == "free":
+        margin = data.draw(st.floats(0.0, 2.0))
+    elif kind == "axis":
+        margin = data.draw(st.integers(0, 12)) * spacing[
+            data.draw(st.integers(0, dim - 1))]
+    else:
+        steps = data.draw(st.lists(st.integers(0, 6), min_size=dim,
+                                   max_size=dim))
+        lengths = np.array(steps) * spacing
+        margin = float(np.sqrt(np.add.reduce(lengths * lengths)))
+    want = ndimage.distance_transform_edt(~mask, sampling=spacing) <= margin
+    assert np.array_equal(_within_margin(mask, spacing, margin), want)
+
+
+def test_within_margin_keeps_tie_at_half_on_fine_strip():
+    # 0.5 / 0.02 rounds down to 24.999999999999996, yet 25 cells of 0.02
+    # are exactly 0.5 away: a reach of margin // h would drop that column
+    grid = m.make_grid([(-2, 2), (-2, 2)], (201, 201))
+    strip = (np.abs(grid.points()[:, 0]) <= 0.5).reshape(grid.shape)
+    near = _within_margin(strip, grid.spacing(), 0.5)
+    want = ndimage.distance_transform_edt(~strip, sampling=grid.spacing())
+    assert np.array_equal(near, want <= 0.5)
+    assert np.array_equal(np.flatnonzero(near[:, 0]), np.arange(50, 151))
+
+
 # ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------
@@ -311,6 +354,13 @@ def test_pgm_rejects_non_finite(tmp_path, bad):
     fld = m.ScalarField(grid, np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0]))
     fld.values[2] = bad  # the constructor refuses NaN; the array stays mutable
     with pytest.raises(ValueError, match="non-finite"):
+        m.write_pgm(tmp_path / "f.pgm", fld)
+
+
+def test_pgm_rejects_negative(tmp_path):
+    grid = m.make_grid([(0, 1), (0, 1)], (3, 2))
+    fld = m.ScalarField(grid, np.array([0.0, 1.0, -1e-3, 2.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="negative"):
         m.write_pgm(tmp_path / "f.pgm", fld)
 
 

@@ -250,6 +250,50 @@ def test_observable_set_arc_rejects_full_turn():
         m.observable_set_arc(m.TimeInterval(0.0, TWO_PI))
 
 
+def _lemma_disagreements(traj, intervals, start):
+    # classify against the closed-form set on a 256-angle sweep, skipping
+    # angles within 1e-6 rad of a set endpoint
+    ends = [e for iv in intervals for e in iv]
+    bad = []
+    for i in range(256):
+        th = start + i * TWO_PI / 256
+        if any(abs((th - e + math.pi) % TWO_PI - math.pi) < 1e-6 for e in ends):
+            continue
+        if m.classify(traj, m.Direction.from_angle(th)) != \
+                angle_in_set(intervals, th):
+            bad.append(th)
+    return bad
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(speed=st.floats(0.05, 10.0), heading=st.floats(-10.0, 10.0),
+       t_min=st.floats(0.0, 5.0), duration=st.floats(0.5, 5.0),
+       offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       start=st.floats(0.0, TWO_PI / 256))
+def test_observable_set_line_agrees_with_classify_property(
+        speed, heading, t_min, duration, offset, start):
+    # at speed 2 the second band collapses to the tangency angle, which the
+    # tolerance CLASSIFICATION_TOL counts as observable; stay clear of it
+    assume(abs(speed - 2.0) > 1e-3)
+    traj = m.Line(speed, angle=heading, offset=offset,
+                  interval=m.TimeInterval(t_min, t_min + duration))
+    intervals = m.observable_set_line(speed, heading)
+    assert _lemma_disagreements(traj, intervals, start) == []
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(t_min=st.floats(0.0, 10.0), duration=st.floats(0.01, TWO_PI - 0.01),
+       center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       start=st.floats(0.0, TWO_PI / 256))
+def test_observable_set_arc_agrees_with_classify_property(
+        t_min, duration, center, start):
+    interval = m.TimeInterval(t_min, t_min + duration)
+    assume(interval.duration < TWO_PI)
+    arc = m.Arc(center=center, interval=interval)
+    intervals = m.observable_set_arc(interval)
+    assert _lemma_disagreements(arc, intervals, start) == []
+
+
 # ---------------------------------------------------------------------------
 # Strips, hulls, and the strip intersection
 # ---------------------------------------------------------------------------
