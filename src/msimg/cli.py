@@ -81,14 +81,18 @@ def _build_trajectory(spec: dict) -> traj_mod.Trajectory:
                                            "trajectory.interval"))
         if variant == "line":
             speed = _number(spec["speed"], "trajectory.speed")
+            offset = spec.get("offset")
+            if offset is not None:
+                offset = _vector(offset, "trajectory.offset")
             if "angle" in spec:
                 return Line(speed=speed,
                             angle=_number(spec["angle"], "trajectory.angle"),
-                            offset=spec.get("offset"), interval=interval)
-            return Line(speed=speed, axis=np.asarray(spec["axis"], float),
-                        offset=spec.get("offset"), interval=interval)
+                            offset=offset, interval=interval)
+            return Line(speed=speed,
+                        axis=_vector(spec["axis"], "trajectory.axis"),
+                        offset=offset, interval=interval)
         if variant == "arc":
-            return Arc(center=np.asarray(spec["center"], float),
+            return Arc(center=_vector(spec["center"], "trajectory.center"),
                        radius=_number(spec.get("radius", 1.0),
                                       "trajectory.radius"),
                        phase=_number(spec.get("phase", 0.0),
@@ -97,8 +101,8 @@ def _build_trajectory(spec: dict) -> traj_mod.Trajectory:
                        interval=interval)
         if variant in ("piecewise", "sampled"):
             cls = PiecewiseLinear if variant == "piecewise" else Sampled
-            return cls(np.asarray(spec["times"], float),
-                       np.asarray(spec["points"], float))
+            return cls(_vector(spec["times"], "trajectory.times"),
+                       _vector(spec["points"], "trajectory.points"))
     except KeyError as e:
         raise ValidationError(f"trajectory spec is missing field {e}") from e
     raise ValidationError(f"unknown trajectory variant {spec.get('variant')!r}")
@@ -128,7 +132,10 @@ def _number(value, name: str) -> float:
     """A real config number: "3", [3] and true are errors."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a float") from None
 
 
 def _integral(value, name: str) -> int:
@@ -136,6 +143,33 @@ def _integral(value, name: str) -> int:
     if not _number(value, name).is_integer():
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _vector(value, name: str) -> np.ndarray:
+    """A config list of numbers, or of such lists (trajectory points)."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{name} must be a list of numbers, got "
+                              f"{value!r}")
+    items = [_vector(v, name) if isinstance(v, list) else _number(v, name)
+             for v in value]
+    try:
+        return np.asarray(items, dtype=float)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{name} must be a rectangular list of "
+                              f"numbers") from None
+
+
+def _slice(spec) -> SliceSpec:
+    """A grid.slices entry: {"axis": integer, "offset": number}."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"grid.slices entry must be an object, got "
+                              f"{spec!r}")
+    for key in ("axis", "offset"):
+        if key not in spec:
+            raise ValidationError(
+                f"grid.slices entry is missing field {key!r}")
+    return SliceSpec(_integral(spec["axis"], "grid.slices axis"),
+                     _number(spec["offset"], "grid.slices offset"))
 
 
 def _pair(value, name: str) -> list[float]:
@@ -206,8 +240,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if grid.dim != traj.dim:
         raise ValidationError(
             f"grid is {grid.dim}D but trajectory is {traj.dim}D")
-    slices = [SliceSpec(int(s["axis"]), float(s["offset"]))
-              for s in raw["grid"].get("slices", [])]
+    slices = raw["grid"].get("slices", [])
+    if not isinstance(slices, list):
+        raise ValidationError(f"grid.slices must be a list, got {slices!r}")
+    slices = [_slice(s) for s in slices]
     if slices and grid.dim != 3:
         raise ValidationError("slices are only meaningful for 3D grids")
     if grid.dim == 3 and not slices:
@@ -339,8 +375,10 @@ def _lemma_verdict(config: ExperimentConfig, d: Direction) -> str:
         return "observable" if angle_in_set(intervals, d.theta) else "non-observable"
     if isinstance(t, Arc) and t.radius == 1.0 and t.orientation == 1 \
             and t.interval.duration < TWO_PI:
+        # the lemma's set is for phase 0; phase phi rotates the arc by phi
         intervals = traj_mod.observable_set_arc(t.interval)
-        return "observable" if angle_in_set(intervals, d.theta) else "non-observable"
+        return ("observable" if angle_in_set(intervals, d.theta - t.phase)
+                else "non-observable")
     return ""
 
 

@@ -188,21 +188,54 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
 # Field CSV (x1,x2[,x3],w row-major) and text PGM heatmaps
 # ---------------------------------------------------------------------------
 
+# Values per block of the field writer, rounded to whole lattice lines (at
+# least one).  With the byte matrix and the kernel's temporaries a block
+# takes about 0.3 kB per value.
+FIELD_BLOCK = 2048
+
+
+def _axis_cells(axis: np.ndarray) -> np.ndarray:
+    """`.17g,` text of each axis value, left-aligned and NUL-padded."""
+    texts = [f"{c:.17g},".encode() for c in axis.tolist()]
+    w = max(map(len, texts))
+    return np.frombuffer(b"".join(t.ljust(w, b"\0") for t in texts),
+                         np.uint8).reshape(len(texts), w)
+
+
 def write_field_csv(path, fld: ScalarField) -> None:
     """Row-major `x1,x2[,x3],w` rows, every number as `.17g`.
 
-    Each axis value is formatted once; one lattice line along the last
-    axis goes out per write, so memory stays bounded by one line.
+    Whole lattice lines of about FIELD_BLOCK values go out per write.  Each
+    row is laid out in a byte matrix: the axis texts, then the cells of the
+    value's `.17g` text from `_g17.cells`; unused cells hold NUL and one
+    `translate` per block drops them.  Memory stays bounded by the block
+    (or by one lattice line, when that is longer).
     """
+    from . import _g17   # here, so that commands writing no field skip it
+
     grid = fld.grid
-    *lead, last = [[f"{c:.17g}," for c in a] for a in grid.axes()]
-    lines = fld.values.reshape(-1, len(last))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(f"x{i + 1}," for i in range(grid.dim)) + "w\n")
-        for prefix, line in zip(itertools.product(*lead), lines):
-            head = "".join(prefix)
-            f.write("".join([f"{head}{c}{v:.17g}\n"
-                             for c, v in zip(last, line.tolist())]))
+    *lead, last = [_axis_cells(a) for a in grid.axes()]
+    n_last, w_last = last.shape
+    w_lead = sum(c.shape[1] for c in lead)
+    width = w_lead + w_last + _g17.CELLS
+    lines = max(1, FIELD_BLOCK // n_last)
+    raw = bytearray(lines * n_last * width)
+    buf = np.frombuffer(raw, np.uint8).reshape(lines, n_last, width)
+    buf[:, :, w_lead:w_lead + w_last] = last
+    rows = buf.reshape(lines * n_last, width)[:, w_lead + w_last:]
+    values = fld.values.reshape(-1, n_last)
+    with open(path, "wb") as f:
+        f.write(("".join(f"x{i + 1}," for i in range(grid.dim))
+                 + "w\n").encode())
+        for start in range(0, len(values), lines):
+            k = min(lines, len(values) - start)
+            idx = np.unravel_index(np.arange(start, start + k),
+                                   grid.shape[:-1])
+            buf[:k, :, :w_lead] = np.concatenate(
+                [c[i] for c, i in zip(lead, idx)], axis=1)[:, None, :]
+            _g17.cells(values[start:start + k].ravel(), rows[:k * n_last])
+            block = raw if k == lines else raw[:k * n_last * width]
+            f.write(block.translate(None, b"\0"))
 
 
 def write_mask_csv(path, grid: SearchGrid, mask: np.ndarray) -> None:

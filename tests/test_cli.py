@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import msimg as m
 from msimg import cli
@@ -82,6 +85,16 @@ def test_config_direction_count_shorthand(tmp_path):
         pytest.approx([0.0, PI / 2, PI, 3 * PI / 2])
 
 
+def _config3d(slices, axis=None):
+    """Overrides for a 3D line config with the given grid.slices."""
+    return {"trajectory": {"variant": "line", "speed": 1.0,
+                           "axis": [0.0, 0.0, 1.0] if axis is None else axis,
+                           "offset": [0.0, 0.0, 0.0], "interval": [0.0, 1.0]},
+            "directions": {"angles": [[0.4, 0.8]]},
+            "grid": {"bounds": [[-2, 2]] * 3, "resolution": [9, 9, 9],
+                     "slices": slices}}
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"band": {"k_max": 3 * PI, "count": 18.7}}, "band.count"),
     ({"grid": {"bounds": [[-2, 2], [0, 4]], "resolution": [20.5, 20]}},
@@ -104,12 +117,30 @@ def test_config_direction_count_shorthand(tmp_path):
                      "interval": [1.0]}}, "trajectory.interval"),
     ({"directions": {"count": 2.7}}, "directions.count"),
     ([1], "JSON object"),
+    (_config3d([5]), "grid.slices"),
+    (_config3d([{"offset": 0.0}]), "grid.slices"),
+    (_config3d([{"axis": 0.5, "offset": 0.0}]), "grid.slices axis"),
+    (_config3d([{"axis": 0, "offset": 0.0}], axis={"z": 1}),
+     "trajectory.axis"),
+    ({"trajectory": {"variant": "line", "speed": 1.0, "angle": PI / 2,
+                     "offset": {"a": 1}, "interval": [1.0, 3.0]}},
+     "trajectory.offset"),
+    ({"trajectory": {"variant": "arc", "center": {"x": 0.0},
+                     "interval": [0.0, 1.0]}}, "trajectory.center"),
+    ({"trajectory": {"variant": "piecewise", "times": {"t": 0.0},
+                     "points": [[0.0, 0.0], [1.0, 1.0]]}}, "trajectory.times"),
+    ({"trajectory": {"variant": "piecewise", "times": [0.0, 1.0],
+                     "points": {"p": [0.0, 0.0]}}}, "trajectory.points"),
+    ({"band": {"k_max": 3 * PI, "count": 10 ** 400}}, "band.count"),
 ], ids=["fractional_count", "fractional_resolution", "negative_threshold",
         "nan_threshold", "missing_count", "missing_k_max", "infinite_k_max",
         "missing_bounds", "scalar_resolution", "band_not_object",
         "string_k_max", "bounds_entry_not_pair", "noise_not_object",
         "trajectory_not_object", "one_element_interval",
-        "fractional_direction_count", "top_level_list"])
+        "fractional_direction_count", "top_level_list",
+        "slice_not_object", "slice_without_axis", "fractional_slice_axis",
+        "axis_object", "offset_object", "center_object", "times_object",
+        "points_object", "count_beyond_float"])
 def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
                                              field):
     if isinstance(overrides, dict):
@@ -224,6 +255,26 @@ def test_classify_arc_downwind(tmp_path):
     row = (out / "classify.csv").read_text().splitlines()[1].split(",")
     assert row[7] == "observable"
     assert row[8] == "observable"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phase=st.floats(-10.0, 10.0), t_min=st.floats(0.0, 10.0),
+       duration=st.floats(0.01, 2 * PI - 0.01),
+       center=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       theta=st.floats(0.0, 2 * PI))
+def test_lemma_verdict_agrees_with_classify_on_phased_arcs(
+        phase, t_min, duration, center, theta):
+    # with phase phi the arc is the phase-0 arc rotated by phi, and so is
+    # its observable half circle, which starts at phi + the mean parameter
+    start = phase + t_min + 0.5 * duration
+    for edge in (start, start + PI):
+        assume(abs((theta - edge + PI) % (2 * PI) - PI) > 1e-3)
+    arc = m.Arc(center=center, phase=phase,
+                interval=m.TimeInterval(t_min, t_min + duration))
+    d = m.Direction.from_angle(theta)
+    verdict = cli._lemma_verdict(SimpleNamespace(trajectory=arc), d)
+    assert verdict == ("observable" if m.classify(arc, d)
+                       else "non-observable")
 
 
 def test_classify_piecewise_width_equals_duration(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy import ndimage
 
 import msimg as m
+from msimg import imaging
 from msimg.imaging import _within_margin
 
 from conftest import edge_allowance, half_max_spill
@@ -299,6 +301,77 @@ def test_field_csv_roundtrip_property(tmp_path_factory, data, dim):
     back = m.read_field_csv(path, grid).values
     assert np.array_equal(back, vals)
     assert np.array_equal(np.signbit(back), np.signbit(vals))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.sampled_from([2, 3]),
+       block=st.sampled_from([1, 7, imaging.FIELD_BLOCK]))
+def test_field_csv_bytes_property(tmp_path_factory, data, dim, block):
+    # any float, both signs, subnormals and +-inf, against the row-by-row
+    # `.17g` writer; small blocks split the field into many writes
+    bounds = []
+    for _ in range(dim):
+        lo = data.draw(st.floats(-1e6, 1e6))
+        bounds.append((lo, lo + data.draw(st.floats(1e-6, 1e6))))
+    grid = m.make_grid(bounds, [data.draw(st.integers(2, 5))
+                                for _ in range(dim)])
+    vals = np.array(data.draw(st.lists(
+        st.floats(allow_nan=False), min_size=grid.size, max_size=grid.size)))
+    d = tmp_path_factory.mktemp("g17")
+    with mock.patch.object(imaging, "FIELD_BLOCK", block):
+        m.write_field_csv(d / "new.csv", m.ScalarField(grid, vals))
+    _write_csv_per_row(d / "ref.csv", grid, vals, lambda v: f"{v:.17g}")
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+# value, its `.17g` text, and why it is awkward
+_PINNED_G17 = [
+    (1125899906842624.25, "1125899906842624.2"),     # half-even tie
+    (1e23, "9.9999999999999992e+22"),                # log10 says 23, E is 22
+    (0.0001, "0.0001"),                              # fixed at E = -4
+    (9.999999999999999e-05, "9.9999999999999991e-05"),   # scientific at -5
+    (1e16, "10000000000000000"),                     # fixed at E = 16
+    (1e17, "1e+17"),                                 # scientific at 17
+    (5e-324, "4.9406564584124654e-324"),             # smallest subnormal
+    (2.2250738585072014e-308, "2.2250738585072014e-308"),  # smallest normal
+    (1.7976931348623157e308, "1.7976931348623157e+308"),   # largest
+    (0.0, "0"), (-0.0, "-0"), (np.inf, "inf"), (-np.inf, "-inf"),
+    (-0.1, "-0.10000000000000001"),
+]
+
+
+def test_field_csv_pinned_values(tmp_path):
+    vals = np.array([v for v, _ in _PINNED_G17])
+    grid = m.make_grid([(0, 1), (0, 1)], (2, len(vals) // 2))
+    m.write_field_csv(tmp_path / "f.csv", m.ScalarField(grid, vals))
+    rows = (tmp_path / "f.csv").read_text().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == [t for _, t in _PINNED_G17]
+
+
+def _awkward_sample(name, rng):
+    if name == "bit_patterns":
+        v = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+        return v[~np.isnan(v)]
+    if name == "powers_of_ten":
+        p = 10.0 ** np.arange(-323, 309)
+        return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf),
+                               -p])
+    if name == "quarters":   # 16 integer digits and .25 or .75: 17-digit ties
+        return rng.integers(0, 2 ** 62, 20000).astype(float) / 4
+    return np.ldexp(rng.uniform(0.5, 1, 20000),      # every binary exponent
+                    rng.integers(-1074, 1024, 20000))
+
+
+@pytest.mark.parametrize("name", ["bit_patterns", "powers_of_ten",
+                                  "quarters", "binary_exponents"])
+def test_field_csv_bytes_on_awkward_samples(tmp_path, name):
+    vals = _awkward_sample(name, np.random.default_rng(8))
+    vals = vals[:len(vals) // 4 * 4]
+    grid = m.make_grid([(-1, 1), (0, 3)], (len(vals) // 4, 4))
+    m.write_field_csv(tmp_path / "new.csv", m.ScalarField(grid, vals))
+    _write_csv_per_row(tmp_path / "ref.csv", grid, vals, lambda v: f"{v:.17g}")
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
 
 
 def test_field_csv_memory_bounded_by_one_line(tmp_path):
