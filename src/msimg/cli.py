@@ -14,7 +14,6 @@ import math
 import numbers
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +31,13 @@ TWO_PI = 2.0 * math.pi
 # Largest |sinc(tau_n T / 2)| taken as zero: at dk T = 2 pi m the rounded
 # weights are ~1e-17, not 0, and W comes out ~1e17 everywhere.
 WEIGHT_FLOOR = 1e-12
+
+# Largest problems a config may ask for, in bytes: the N x N complex
+# operator of band.count = N (N <= 2048), and the (size, dim) float lattice
+# of grid.resolution (2896^2 or 177^3 points).  The shipped configs need at
+# most 18^2 and 81^3.  Past these a run would end in a MemoryError.
+MAX_OPERATOR_BYTES = 2 ** 26
+MAX_LATTICE_BYTES = 2 ** 27
 
 
 class ValidationError(ValueError):
@@ -198,6 +204,13 @@ def _required(raw: dict, section: str, key: str):
             f"config is missing field {section}.{key}") from None
 
 
+def _check_size(name: str, nbytes: int, bound: int, what: str) -> None:
+    """Refuse a config field whose arrays would exceed `bound` bytes."""
+    if nbytes > bound:
+        raise ValidationError(f"{name}: the {what} needs {nbytes} bytes, "
+                              f"above the bound of {bound} bytes")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config dict, fill defaults, and build typed components."""
     if not isinstance(raw, dict):
@@ -219,6 +232,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                  "band.k_max"),
                          _integral(_required(raw, "band", "count"),
                                    "band.count"))
+    _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
+                f"{band.n} x {band.n} complex operator")
     if not np.any(np.abs(indicator.band_weights(traj.interval, band))
                   > WEIGHT_FLOOR):
         raise ValidationError(
@@ -237,6 +252,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid = imaging.make_grid([_pair(b, "grid.bounds entry") for b in bounds],
                              [_integral(r, "grid.resolution entry")
                               for r in resolution])
+    _check_size("grid.resolution", 8 * grid.dim * math.prod(grid.resolution),
+                MAX_LATTICE_BYTES, f"{grid.dim}D lattice of {grid.resolution}")
     if grid.dim != traj.dim:
         raise ValidationError(
             f"grid is {grid.dim}D but trajectory is {traj.dim}D")
@@ -309,6 +326,7 @@ def _chunked_sums(spectrum, direction, points, interval, band, threads):
                                                 interval, band)
     if threads <= 1:
         return work(points)
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs
     # split at multiples of the kernel's block so every point goes through
     # the arithmetic of the serial call and the bytes match
     step = indicator.POINT_CHUNK * -(-len(points)

@@ -15,6 +15,7 @@ k_n = (n - 1/2) dk, dk = k_max / N; these samples feed the spectral module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -24,7 +25,16 @@ from .trajectory import Direction, TimeInterval, Trajectory
 
 QUAD_TOL = 1e-10
 _GL_ORDER = 20
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _GL_ORDER-point rule on [-1, 1], computed
+    on first use: importing numpy.polynomial slows every CLI start-up."""
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(_GL_ORDER)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 class QuadratureError(RuntimeError):
@@ -107,15 +117,16 @@ def _phase_integral(traj: Trajectory, direction: Direction, k: float,
     rate = abs(k) * (1.0 + traj.speed_bound()) / (2.0 * math.pi)  # osc per unit time
     bks = [float(b) for b in traj.breakpoints() if iv.t_min < b < iv.t_max]
     bounds = [iv.t_min, *bks, iv.t_max]
+    gl_nodes, gl_weights = _gauss_legendre()
     total = 0.0 + 0.0j
     for a, b in zip(bounds[:-1], bounds[1:]):
         panels = max(1, int(math.ceil(rate * (b - a)))) << refine
         edges = np.linspace(a, b, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mids = 0.5 * (edges[1:] + edges[:-1])
-        ts = (mids[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        ts = (mids[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
         phases = ts + traj.positions(ts) @ direction.vec
-        w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        w = (half[:, None] * gl_weights[None, :]).ravel()
         total += np.sum(w * np.exp(-1j * k * phases))
     return complex(total)
 

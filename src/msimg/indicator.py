@@ -15,12 +15,15 @@ grid exceeds a threshold (those behave as non-observable).
 
 Because tau_n = n dk, phi(y) is a geometric sequence in z = e^{-i dk x_hat.y}
 once the point-independent weights sinc(tau_n T / 2) e^{-i tau_n t_mid} are
-split off.  The grid kernel folds those weights and lambda_n^{-1/2} into the
-eigenvectors, G = diag(lambda^{-1/2}) V^H diag(weights), and evaluates the
-series as ||G (z, z^2, ..., z^N)||^2: one exponential per point.  It also
-shows that the series is a trigonometric polynomial in x_hat . y with
-period 2 pi / dk, so a search region wider than that along x_hat sees the
-strip repeated (aliased).
+split off.  Every indicator folds those weights and lambda_n^{-1/2} into the
+eigenvectors, G = diag(lambda^{-1/2}) V^H diag(weights), once per spectrum,
+interval and band (Spectrum.picard_operator), and evaluates the series as
+||G (z, z^2, ..., z^N)||^2: one matrix-vector product per point, and on a
+grid one exponential per point.  It also shows that the series is a
+trigonometric polynomial in x_hat . y with period 2 pi / dk, so a search
+region wider than that along x_hat sees the strip repeated (aliased).
+`test_vector` and `picard_sum` evaluate the series term by term from its
+definition; they are the reference the folded form is tested against.
 """
 
 from __future__ import annotations
@@ -104,6 +107,13 @@ def picard_sum(spectrum: Spectrum, phi: TestVector | np.ndarray) -> PicardResult
     return PicardResult(float(np.sum(terms)), terms)
 
 
+def _operator(spectrum: Spectrum, interval: TimeInterval,
+              band: FrequencyBand) -> np.ndarray:
+    """The spectrum's folded Picard operator G for this interval and band."""
+    return spectrum.picard_operator((interval, band),
+                                    lambda: band_weights(interval, band))
+
+
 def picard_sums_grid(spectrum: Spectrum, direction: Direction,
                      points: np.ndarray, interval: TimeInterval,
                      band: FrequencyBand) -> np.ndarray:
@@ -118,8 +128,7 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
     """
     points = np.asarray(points, dtype=float)
     proj = points @ direction.vec
-    G = (spectrum.eigenvectors.conj().T * band_weights(interval, band)
-         / np.sqrt(spectrum.floored_eigenvalues())[:, None])
+    G = _operator(spectrum, interval, band)
     sums = np.empty(len(proj))
     for start in range(0, len(proj), POINT_CHUNK):
         block = proj[start:start + POINT_CHUNK]
@@ -136,8 +145,7 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
 def indicator_single(spectrum: Spectrum, direction: Direction, y,
                      interval: TimeInterval, band: FrequencyBand) -> float:
     """Single-direction indicator W(y), the reciprocal Picard sum."""
-    total = picard_sum(spectrum, test_vector(direction, y, interval, band)).total
-    return 1.0 / total if total > 0.0 else float("inf")
+    return indicator_multi([spectrum], [direction], y, interval, band)
 
 
 def direction_filter(grid_sums, threshold: float = DEFAULT_THRESHOLD) -> list[int]:
@@ -157,13 +165,19 @@ def indicator_multi(spectra, directions, y, interval: TimeInterval,
     """Multi-direction indicator: reciprocal of the summed Picard series.
 
     Callers filter non-observable directions first (see direction_filter);
-    passing an empty direction set is an error.
+    passing an empty direction set is an error.  Each direction's series
+    is ||G z||^2 with z_n = e^{-i n dk x_hat . y}, one matrix-vector
+    product with the spectrum's folded operator G.
     """
     if len(directions) == 0:
         raise ValueError("no directions left to combine")
+    y = np.asarray(y, dtype=float)
+    n = np.arange(1, band.n + 1)
     total = 0.0
     for spec, d in zip(spectra, directions):
-        total += picard_sum(spec, test_vector(d, y, interval, band)).total
+        z = np.exp((-1j * band.dk * float(d.vec @ y)) * n)
+        c = _operator(spec, interval, band) @ z
+        total += float(np.vdot(c, c).real)
     return 1.0 / total if total > 0.0 else float("inf")
 
 

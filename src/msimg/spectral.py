@@ -15,7 +15,7 @@ not be, so both are provided and may be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,11 +50,27 @@ class Spectrum:
     Hermitian F# and the eigenvector columns are orthonormal.  In paper
     mode the vectors are the unit-norm eigenvectors of F itself and need
     not be orthogonal.
+
+    The spectrum holds read-only copies of the arrays it is given, so what
+    it derives from them once -- the floored eigenvalues and the folded
+    Picard operators -- stays valid for its whole life.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     mode: str
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        lam = _read_only(self.eigenvalues)
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvectors",
+                           _read_only(self.eigenvectors))
+        floor = EIGENVALUE_FLOOR * float(np.max(lam, initial=0.0))
+        if floor <= 0.0:
+            floor = np.finfo(float).tiny
+        object.__setattr__(self, "_floored",
+                           _read_only(np.maximum(lam, floor)))
 
     @property
     def n(self) -> int:
@@ -62,11 +78,30 @@ class Spectrum:
 
     def floored_eigenvalues(self) -> np.ndarray:
         """Eigenvalues floored at EIGENVALUE_FLOOR * lambda_max."""
-        lam_max = float(np.max(self.eigenvalues, initial=0.0))
-        floor = EIGENVALUE_FLOOR * lam_max
-        if floor <= 0.0:
-            floor = np.finfo(float).tiny
-        return np.maximum(self.eigenvalues, floor)
+        return self._floored
+
+    def picard_operator(self, key, weights) -> np.ndarray:
+        """G = diag(lambda^{-1/2}) V^H diag(w) with the floored eigenvalues.
+
+        `key` is a value-hashable name of the weights w, such as the
+        (interval, band) they come from, and `weights()` computes them.
+        G is built on the first call with a key and kept, read-only, with
+        the spectrum.  Threads that race on a new key build equal arrays.
+        """
+        G = self._operators.get(key)
+        if G is None:
+            G = (self.eigenvectors.conj().T * weights()
+                 / np.sqrt(self._floored)[:, None])
+            G.flags.writeable = False
+            self._operators[key] = G
+        return G
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only copy of an array."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
 
 
 def build_operator(samples: FarFieldSamples) -> FarFieldOperator:

@@ -583,3 +583,68 @@ def test_import_does_not_load_scipy(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.split("\n")[:2] == ["False", "0 False"]
     assert json.loads(report.read_text())["directions"][0]["ratio"] >= 1e6
+
+
+def test_import_loads_no_polynomial_or_thread_pool():
+    # start-up cost of every CLI process: the quadrature rule and the
+    # thread pool are imported on first use only
+    code = ("import sys, msimg.cli; print([name for name in "
+            "('numpy.polynomial', 'concurrent.futures') "
+            "if name in sys.modules])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(m.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# size guards
+# ---------------------------------------------------------------------------
+
+_MAX_COUNT = math.isqrt(cli.MAX_OPERATOR_BYTES // 16)
+_MAX_SIDE_2D = math.isqrt(cli.MAX_LATTICE_BYTES // 16)
+_MAX_SIDE_3D = int((cli.MAX_LATTICE_BYTES // 24) ** (1 / 3))
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"band": {"k_max": 3 * PI, "count": _MAX_COUNT + 1}}, "band.count"),
+    ({"grid": {"bounds": [[-2, 2], [0, 4]],
+               "resolution": [_MAX_SIDE_2D + 1, _MAX_SIDE_2D]}},
+     "grid.resolution"),
+    ({**_config3d([{"axis": 0, "offset": 0.0}]),
+      "grid": {"bounds": [[-2, 2]] * 3, "resolution": [_MAX_SIDE_3D + 1] * 3,
+               "slices": [{"axis": 0, "offset": 0.0}]}}, "grid.resolution"),
+])
+def test_config_size_guards(tmp_path, capsys, monkeypatch, overrides, field):
+    # just past the bound: exit 2 naming the field and the bound, before
+    # the test-vector weights or any lattice array is computed
+    def refuse(*args):
+        raise AssertionError("allocated past the size guard")
+
+    if field == "band.count":
+        monkeypatch.setattr(m.indicator, "band_weights", refuse)
+    monkeypatch.setattr(m.SearchGrid, "axes", refuse)
+    monkeypatch.setattr(m.SearchGrid, "points", refuse)
+    path = _base_config(tmp_path, **overrides)
+    assert _run("classify", "--config", path) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    bound = (cli.MAX_OPERATOR_BYTES if field == "band.count"
+             else cli.MAX_LATTICE_BYTES)
+    assert f"bound of {bound} bytes" in err
+
+
+def test_config_size_guards_admit_the_bounds(tmp_path):
+    # at the bound itself the config parses; nothing large is allocated
+    # because parsing builds no lattice and only length-N weights
+    path = _base_config(tmp_path,
+                        band={"k_max": 3 * PI, "count": _MAX_COUNT},
+                        grid={"bounds": [[-2, 2], [0, 4]],
+                              "resolution": [_MAX_SIDE_2D, _MAX_SIDE_2D]})
+    cfg = cli.load_config(path)
+    assert cfg.band.n == _MAX_COUNT
+    assert cfg.grid.resolution == (_MAX_SIDE_2D, _MAX_SIDE_2D)
+    assert 8 * 3 * _MAX_SIDE_3D ** 3 <= cli.MAX_LATTICE_BYTES

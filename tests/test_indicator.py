@@ -287,6 +287,9 @@ def test_multi_equals_single_for_one_direction(vertical_line, default_band):
 
 
 def test_multi_is_reciprocal_sum(vertical_line, default_band):
+    # the per-direction sums are the single-direction series, each equal
+    # to the term-by-term reference within what rounding allows: at this
+    # point both evaluations sit ~1e-11 (relative) from the exact sum
     iv = vertical_line.interval
     specs, dirs, sums = [], [], []
     y = (0.1, 2.0)
@@ -294,8 +297,11 @@ def test_multi_is_reciprocal_sum(vertical_line, default_band):
         spec, d = _spectrum_for(vertical_line, theta, default_band)
         specs.append(spec)
         dirs.append(d)
-        sums.append(m.picard_sum(
-            spec, m.test_vector(d, y, iv, default_band)).total)
+        sums.append(1.0 / m.indicator_single(spec, d, y, iv, default_band))
+        want = m.picard_sum(spec, m.test_vector(d, y, iv, default_band))
+        assert abs(sums[-1] - want.total) <= max(
+            1e-9 * want.total,
+            _rounding_bound(spec, want, default_band, iv, d.vec @ y))
     got = m.indicator_multi(specs, dirs, y, iv, default_band)
     assert got == pytest.approx(1.0 / (sums[0] + sums[1]), rel=1e-14)
 
@@ -356,3 +362,98 @@ def test_dichotomy_median_ratio(vertical_line, default_band):
     mask = m.mask_strip(grid, m.strip(vertical_line, d))
     met = m.contrast_metric(fld, mask, margin=0.25)
     assert met["ratio"] >= 10
+
+
+# ---------------------------------------------------------------------------
+# Single-point indicators on the folded operator
+# ---------------------------------------------------------------------------
+
+_LINE_2D = m.Line(1.0, angle=math.pi / 2, offset=(0, 0),
+                  interval=m.TimeInterval(1, 3))
+_LINE_3D = m.Line(1.0, axis=(0, 0, 1), offset=(0, 0, 0),
+                  interval=m.TimeInterval(0, 1))
+_DIRECTIONS = {2: [m.Direction.from_angle(a) for a in (0.3, 1.0, 2.5)],
+               3: [m.Direction.from_angles(a, b)
+                   for a, b in ((0.4, 0.8), (1.2, 2.0), (2.6, 4.5))]}
+_SPECTRA = {}
+
+
+def _query_spectra(dim, n, mode):
+    """Spectra of the 2D or 3D test line for three fixed directions."""
+    key = (dim, n, mode)
+    if key not in _SPECTRA:
+        traj = _LINE_2D if dim == 2 else _LINE_3D
+        band = m.FrequencyBand(3 * math.pi, n)
+        _SPECTRA[key] = (traj, band, [
+            m.f_sharp_spectrum(m.build_operator(m.sample_band(traj, d, band)),
+                               mode) for d in _DIRECTIONS[dim]])
+    return _SPECTRA[key]
+
+
+def _reference_sum(spectra, directions, y, interval, band):
+    """Term-by-term Picard sum over the directions and its rounding bound."""
+    total = bound = 0.0
+    for spec, d in zip(spectra, directions):
+        want = m.picard_sum(spec, m.test_vector(d, y, interval, band))
+        total += want.total
+        bound += _rounding_bound(spec, want, band, interval, float(d.vec @ y))
+    return total, max(1e-9 * total, bound)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 3]), n=st.sampled_from([1, 2, 18, 72]),
+       mode=st.sampled_from([m.MODE_RIGOROUS, m.MODE_PAPER]),
+       y=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+       j=st.integers(0, 2))
+def test_single_point_indicators_match_picard_sum(dim, n, mode, y, j):
+    traj, band, spectra = _query_spectra(dim, n, mode)
+    dirs, iv, y = _DIRECTIONS[dim], traj.interval, np.array(y[:dim])
+    want, tol = _reference_sum(spectra[j:j + 1], dirs[j:j + 1], y, iv, band)
+    got = m.indicator_single(spectra[j], dirs[j], y, iv, band)
+    assert abs(1.0 / got - want) <= tol
+    want, tol = _reference_sum(spectra, dirs, y, iv, band)
+    got = m.indicator_multi(spectra, dirs, y, iv, band)
+    assert abs(1.0 / got - want) <= tol
+
+
+def test_single_point_indicators_follow_new_spectra():
+    # a spectrum keeps what it derives; spectra dropped and rebuilt with
+    # other values (their ids are reused) must not see their predecessors'
+    rng = np.random.default_rng(21)
+    band = m.FrequencyBand(3 * math.pi, 6)
+    iv = m.TimeInterval(1, 3)
+    d = m.Direction.from_angle(0.7)
+    ids = set()
+    reused = False
+    for _ in range(30):
+        Q, _ = np.linalg.qr(rng.normal(size=(6, 6))
+                            + 1j * rng.normal(size=(6, 6)))
+        spec = m.Spectrum(np.sort(rng.uniform(1e-3, 10.0, 6))[::-1], Q,
+                          m.MODE_RIGOROUS)
+        reused |= id(spec) in ids
+        ids.add(id(spec))
+        for y in rng.uniform(-3, 3, (3, 2)):
+            want, tol = _reference_sum([spec], [d], y, iv, band)
+            got = m.indicator_single(spec, d, y, iv, band)
+            assert abs(1.0 / got - want) <= tol
+            got = m.indicator_multi([spec, spec], [d, d], y, iv, band)
+            assert abs(1.0 / got - 2 * want) <= 2 * tol
+        del spec
+    assert reused
+
+
+def test_folded_operator_kept_per_interval_and_band(vertical_line,
+                                                    default_band):
+    spec, d = _spectrum_for(vertical_line, 1.0, default_band)
+    iv = vertical_line.interval
+    a = spec.picard_operator((iv, default_band), lambda: m.indicator
+                             .band_weights(iv, default_band))
+    # equal keys find the same array; the weights are not recomputed
+    b = spec.picard_operator((m.TimeInterval(1.0, 3.0),
+                              m.FrequencyBand(3 * math.pi, 18)), None)
+    assert b is a and not a.flags.writeable
+    other = m.TimeInterval(1, 2.5)
+    c = spec.picard_operator((other, default_band),
+                             lambda: m.indicator.band_weights(other,
+                                                              default_band))
+    assert c is not a and not np.array_equal(c, a)

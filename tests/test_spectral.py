@@ -198,3 +198,22 @@ def test_floored_eigenvalues(default_band):
     assert np.all(floored[1:] == 2.0 * 1e-14)
     zero = m.Spectrum(np.zeros(2), np.eye(2, dtype=complex), m.MODE_RIGOROUS)
     assert np.all(zero.floored_eigenvalues() > 0)
+
+
+def test_spectrum_keeps_read_only_copies():
+    lam = np.array([3.0, 1.0, 1e-20])
+    vecs = np.eye(3, dtype=complex)
+    spec = m.Spectrum(lam, vecs, m.MODE_RIGOROUS)
+    for arr in (spec.eigenvalues, spec.eigenvectors,
+                spec.floored_eigenvalues()):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the caller's arrays stay writable, and writing them leaves the
+    # spectrum and what it derived unchanged
+    assert lam.flags.writeable and vecs.flags.writeable
+    lam[:] = 7.0
+    vecs[:] = 0.0
+    assert np.array_equal(spec.eigenvalues, [3.0, 1.0, 1e-20])
+    assert np.array_equal(spec.eigenvectors, np.eye(3))
+    assert np.array_equal(spec.floored_eigenvalues(), [3.0, 1.0, 3e-14])
