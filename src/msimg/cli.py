@@ -234,7 +234,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                                    "band.count"))
     _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
                 f"{band.n} x {band.n} complex operator")
-    if not np.any(np.abs(indicator.band_weights(traj.interval, band))
+    if not np.any(np.abs(forward.band_weights(traj.interval, band))
                   > WEIGHT_FLOOR):
         raise ValidationError(
             f"every test-vector weight sinc(tau_n T / 2) vanishes: "

@@ -72,6 +72,31 @@ class FrequencyBand:
         return np.arange(1, self.n + 1) * self.dk
 
 
+def probe_entries(projections: np.ndarray, interval: TimeInterval,
+                  band: FrequencyBand) -> np.ndarray:
+    """Range-test vector entries on the band nodes, shape (N, P).
+
+    sinc(tau_n T / 2) e^{-i tau_n (t_mid + p)} for each value p = x_hat . y
+    of `projections`; the indicator module builds its test vectors here.
+    """
+    tau = band.nodes()
+    T = interval.duration
+    amp = np.sinc(tau * T / 2.0 / np.pi)  # sin(x)/x, exact 1 at tau = 0
+    phase = np.exp(-1j * tau[:, None]
+                   * (interval.midpoint + projections[None, :]))
+    return amp[:, None] * phase
+
+
+def band_weights(interval: TimeInterval, band: FrequencyBand) -> np.ndarray:
+    """Point-independent test-vector weights, shape (N,).
+
+    sinc(tau_n T / 2) e^{-i tau_n t_mid}; they all vanish exactly when
+    dk T is a multiple of 2 pi, and every test vector with them.
+    """
+    # the test vector at x_hat . y = 0
+    return probe_entries(np.zeros(1), interval, band)[:, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class FarFieldSamples:
     """Far-field values at the band midpoints for one direction."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import FrequencyBand
+from .forward import FrequencyBand, probe_entries
 from .spectral import Spectrum
 from .trajectory import Direction, TimeInterval
 
@@ -65,33 +65,12 @@ class PicardResult:
     terms: np.ndarray
 
 
-def _entries_for_projections(projections: np.ndarray, interval: TimeInterval,
-                             band: FrequencyBand) -> np.ndarray:
-    """Test-vector entries for an array of values x_hat . y, shape (N, P)."""
-    tau = band.nodes()
-    T = interval.duration
-    amp = np.sinc(tau * T / 2.0 / np.pi)  # sin(x)/x, exact 1 at tau = 0
-    phase = np.exp(-1j * tau[:, None]
-                   * (interval.midpoint + projections[None, :]))
-    return amp[:, None] * phase
-
-
-def band_weights(interval: TimeInterval, band: FrequencyBand) -> np.ndarray:
-    """Point-independent test-vector weights, shape (N,).
-
-    sinc(tau_n T / 2) e^{-i tau_n t_mid}; they all vanish exactly when
-    dk T is a multiple of 2 pi, and every test vector with them.
-    """
-    # the test vector at x_hat . y = 0
-    return _entries_for_projections(np.zeros(1), interval, band)[:, 0]
-
-
 def test_vector(direction: Direction, y, interval: TimeInterval,
                 band: FrequencyBand) -> TestVector:
     """Test vector of probe point y; depends on y only through x_hat . y."""
     y = np.asarray(y, dtype=float)
     proj = np.array([float(direction.vec @ y)])
-    entries = _entries_for_projections(proj, interval, band)[:, 0]
+    entries = probe_entries(proj, interval, band)[:, 0]
     return TestVector(entries, direction, y, interval)
 
 
@@ -105,13 +84,6 @@ def picard_sum(spectrum: Spectrum, phi: TestVector | np.ndarray) -> PicardResult
     coef = spectrum.eigenvectors.conj().T @ entries
     terms = np.abs(coef) ** 2 / spectrum.floored_eigenvalues()
     return PicardResult(float(np.sum(terms)), terms)
-
-
-def _operator(spectrum: Spectrum, interval: TimeInterval,
-              band: FrequencyBand) -> np.ndarray:
-    """The spectrum's folded Picard operator G for this interval and band."""
-    return spectrum.picard_operator((interval, band),
-                                    lambda: band_weights(interval, band))
 
 
 def picard_sums_grid(spectrum: Spectrum, direction: Direction,
@@ -128,7 +100,7 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
     """
     points = np.asarray(points, dtype=float)
     proj = points @ direction.vec
-    G = _operator(spectrum, interval, band)
+    G = spectrum.picard_operator(interval, band)
     sums = np.empty(len(proj))
     for start in range(0, len(proj), POINT_CHUNK):
         block = proj[start:start + POINT_CHUNK]
@@ -176,7 +148,7 @@ def indicator_multi(spectra, directions, y, interval: TimeInterval,
     total = 0.0
     for spec, d in zip(spectra, directions):
         z = np.exp((-1j * band.dk * float(d.vec @ y)) * n)
-        c = _operator(spec, interval, band) @ z
+        c = spec.picard_operator(interval, band) @ z
         total += float(np.vdot(c, c).real)
     return 1.0 / total if total > 0.0 else float("inf")
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import FarFieldSamples, FrequencyBand
-from .trajectory import Direction
+from .forward import FarFieldSamples, FrequencyBand, band_weights
+from .trajectory import Direction, TimeInterval
 
 MODE_RIGOROUS = "rigorous"
 MODE_PAPER = "paper"
@@ -51,9 +51,8 @@ class Spectrum:
     mode the vectors are the unit-norm eigenvectors of F itself and need
     not be orthogonal.
 
-    The spectrum holds read-only copies of the arrays it is given, so what
-    it derives from them once -- the floored eigenvalues and the folded
-    Picard operators -- stays valid for its whole life.
+    The spectrum holds read-only copies of the arrays it is given, so the
+    folded Picard operators it keeps stay valid for its whole life.
     """
 
     eigenvalues: np.ndarray
@@ -62,15 +61,9 @@ class Spectrum:
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        lam = _read_only(self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvalues", _read_only(self.eigenvalues))
         object.__setattr__(self, "eigenvectors",
                            _read_only(self.eigenvectors))
-        floor = EIGENVALUE_FLOOR * float(np.max(lam, initial=0.0))
-        if floor <= 0.0:
-            floor = np.finfo(float).tiny
-        object.__setattr__(self, "_floored",
-                           _read_only(np.maximum(lam, floor)))
 
     @property
     def n(self) -> int:
@@ -78,20 +71,27 @@ class Spectrum:
 
     def floored_eigenvalues(self) -> np.ndarray:
         """Eigenvalues floored at EIGENVALUE_FLOOR * lambda_max."""
-        return self._floored
+        lam_max = float(np.max(self.eigenvalues, initial=0.0))
+        floor = EIGENVALUE_FLOOR * lam_max
+        if floor <= 0.0:
+            floor = np.finfo(float).tiny
+        return np.maximum(self.eigenvalues, floor)
 
-    def picard_operator(self, key, weights) -> np.ndarray:
-        """G = diag(lambda^{-1/2}) V^H diag(w) with the floored eigenvalues.
+    def picard_operator(self, interval: TimeInterval,
+                        band: FrequencyBand) -> np.ndarray:
+        """G = diag(lambda^{-1/2}) V^H diag(w), the folded Picard operator.
 
-        `key` is a value-hashable name of the weights w, such as the
-        (interval, band) they come from, and `weights()` computes them.
-        G is built on the first call with a key and kept, read-only, with
-        the spectrum.  Threads that race on a new key build equal arrays.
+        lambda are the floored eigenvalues, V the eigenvectors and w the
+        test-vector weights band_weights(interval, band).  G is built on
+        the first call with a value-equal (interval, band) and kept,
+        read-only, with the spectrum.  Threads that race on a new pair
+        build equal arrays.
         """
+        key = (interval, band)
         G = self._operators.get(key)
         if G is None:
-            G = (self.eigenvectors.conj().T * weights()
-                 / np.sqrt(self._floored)[:, None])
+            G = (self.eigenvectors.conj().T * band_weights(interval, band)
+                 / np.sqrt(self.floored_eigenvalues())[:, None])
             G.flags.writeable = False
             self._operators[key] = G
         return G

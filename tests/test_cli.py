@@ -625,7 +625,7 @@ def test_config_size_guards(tmp_path, capsys, monkeypatch, overrides, field):
         raise AssertionError("allocated past the size guard")
 
     if field == "band.count":
-        monkeypatch.setattr(m.indicator, "band_weights", refuse)
+        monkeypatch.setattr(m.forward, "band_weights", refuse)
     monkeypatch.setattr(m.SearchGrid, "axes", refuse)
     monkeypatch.setattr(m.SearchGrid, "points", refuse)
     path = _base_config(tmp_path, **overrides)

@@ -204,13 +204,12 @@ def test_spectrum_keeps_read_only_copies():
     lam = np.array([3.0, 1.0, 1e-20])
     vecs = np.eye(3, dtype=complex)
     spec = m.Spectrum(lam, vecs, m.MODE_RIGOROUS)
-    for arr in (spec.eigenvalues, spec.eigenvectors,
-                spec.floored_eigenvalues()):
+    for arr in (spec.eigenvalues, spec.eigenvectors):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
     # the caller's arrays stay writable, and writing them leaves the
-    # spectrum and what it derived unchanged
+    # spectrum and what is derived from it unchanged
     assert lam.flags.writeable and vecs.flags.writeable
     lam[:] = 7.0
     vecs[:] = 0.0
