@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,18 +34,18 @@ WEIGHT_FLOOR = 1e-12
 
 # Largest problems a config may ask for, in bytes: the N x N complex
 # operator of band.count = N (N <= 2048), and the (size, dim) float lattice
-# of grid.resolution (2896^2 or 177^3 points).  The shipped configs need at
+# of grid.resolution (2896^2 or 177^3 points), which also bounds the
+# directions.count fields of a 2D lattice.  The shipped configs need at
 # most 18^2 and 81^3.  Past these a run would end in a MemoryError.
 MAX_OPERATOR_BYTES = 2 ** 26
 MAX_LATTICE_BYTES = 2 ** 27
+# Nodes of the far-field quadrature at k_max after its deepest refinement:
+# ~10^4 bytes per phase cycle, so at most ~6500 (shipped configs: <= 10).
+MAX_QUADRATURE_BYTES = 2 ** 26
 
 
 class ValidationError(ValueError):
     """Configuration or input files are inconsistent."""
-
-
-class ConfigError(ValidationError):
-    """Configuration file could not be parsed."""
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +54,8 @@ class ConfigError(ValidationError):
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Parsed experiment description; `raw` is the normalized JSON dict."""
+    """Parsed experiment description."""
 
-    raw: dict
     trajectory: traj_mod.Trajectory
     band: FrequencyBand
     directions: list
@@ -75,207 +74,186 @@ class ExperimentConfig:
     def dim(self) -> int:
         return self.trajectory.dim
 
-    def to_json(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True) + "\n"
+
+def _field(spec: dict, name: str, check, default=...):
+    """Config field `name` of the object `spec`, checked by `check(value,
+    name)`; its key is the last word of `name`, after a "." or " ".  A field
+    that is absent or the default itself (null where the default is None)
+    is the default; without a default it is an error."""
+    value = spec.get(name.replace(" ", ".").rpartition(".")[2], default)
+    if value is ...:
+        raise ValidationError(f"config is missing field {name!r}")
+    return value if value is default else check(value, name)
+
+
+def _json_type(kind, what: str):
+    """The check that a config field is a JSON value of type `kind`."""
+    def check(value, name: str):
+        if not isinstance(value, kind):
+            raise ValidationError(f"config field {name!r} must be {what}, "
+                                  f"got {value!r}")
+        return value
+    return check
+
+
+_object = _json_type(dict, "an object")
+_list = _json_type(list, "a list")
+_string = _json_type(str, "a string")
+
+
+def _number(value, name: str) -> float:
+    """A finite real config number: "3", [3], true, NaN, 1e400 are errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        # a 400-digit integer is cut short
+        raise ValidationError(f"config field {name!r} must be a finite "
+                              f"number, got {value!r:.40}")
+    return float(value)
+
+
+def _integral(value, name: str) -> int:
+    """An integer-valued config number: 18.7 is an error, not 18."""
+    if not _number(value, name).is_integer():
+        raise ValidationError(f"config field {name!r} must be an integer, "
+                              f"got {value!r}")
+    return int(value)
+
+
+def _vector(value, name: str) -> np.ndarray:
+    """A config list of numbers, or of such lists (trajectory points)."""
+    items = [_vector(v, name) if isinstance(v, list) else _number(v, name)
+             for v in _list(value, name)]
+    try:
+        return np.asarray(items, dtype=float)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"config field {name!r} must be a rectangular "
+                              f"list of numbers") from None
+
+
+def _pair(value, name: str) -> list[float]:
+    """A two-number config list such as [lo, hi]."""
+    if len(_list(value, name)) != 2:
+        raise ValidationError(f"config field {name!r} must be a pair of "
+                              f"numbers, got {value!r}")
+    return [_number(v, name) for v in value]
+
+
+def _check_size(name: str, nbytes, bound: int, what: str) -> None:
+    """Refuse a config field whose arrays would exceed `bound` bytes."""
+    if nbytes > bound:
+        raise ValidationError(f"{name}: the {what} needs {nbytes:.6g} bytes, "
+                              f"above the bound of {bound} bytes")
 
 
 def _build_trajectory(spec: dict) -> traj_mod.Trajectory:
-    try:
-        variant = spec["variant"]
-        if variant in ("line", "arc"):
-            interval = TimeInterval(*_pair(spec["interval"],
-                                           "trajectory.interval"))
-        if variant == "line":
-            speed = _number(spec["speed"], "trajectory.speed")
-            offset = spec.get("offset")
-            if offset is not None:
-                offset = _vector(offset, "trajectory.offset")
-            if "angle" in spec:
-                return Line(speed=speed,
-                            angle=_number(spec["angle"], "trajectory.angle"),
-                            offset=offset, interval=interval)
+    variant = _field(spec, "trajectory.variant", _string)
+    if variant in ("line", "arc"):
+        interval = TimeInterval(*_field(spec, "trajectory.interval", _pair))
+    if variant == "line":
+        speed = _field(spec, "trajectory.speed", _number)
+        offset = _field(spec, "trajectory.offset", _vector, None)
+        if "angle" in spec:
             return Line(speed=speed,
-                        axis=_vector(spec["axis"], "trajectory.axis"),
+                        angle=_field(spec, "trajectory.angle", _number),
                         offset=offset, interval=interval)
-        if variant == "arc":
-            return Arc(center=_vector(spec["center"], "trajectory.center"),
-                       radius=_number(spec.get("radius", 1.0),
-                                      "trajectory.radius"),
-                       phase=_number(spec.get("phase", 0.0),
-                                     "trajectory.phase"),
-                       orientation=spec.get("orientation", 1),
-                       interval=interval)
-        if variant in ("piecewise", "sampled"):
-            cls = PiecewiseLinear if variant == "piecewise" else Sampled
-            return cls(_vector(spec["times"], "trajectory.times"),
-                       _vector(spec["points"], "trajectory.points"))
-    except KeyError as e:
-        raise ValidationError(f"trajectory spec is missing field {e}") from e
-    raise ValidationError(f"unknown trajectory variant {spec.get('variant')!r}")
+        return Line(speed=speed, axis=_field(spec, "trajectory.axis", _vector),
+                    offset=offset, interval=interval)
+    if variant == "arc":
+        return Arc(center=_field(spec, "trajectory.center", _vector),
+                   radius=_field(spec, "trajectory.radius", _number, 1.0),
+                   phase=_field(spec, "trajectory.phase", _number, 0.0),
+                   orientation=_field(spec, "trajectory.orientation",
+                                      _integral, 1),
+                   interval=interval)
+    if variant in ("piecewise", "sampled"):
+        cls = PiecewiseLinear if variant == "piecewise" else Sampled
+        return cls(_field(spec, "trajectory.times", _vector),
+                   _field(spec, "trajectory.points", _vector))
+    raise ValidationError(f"unknown trajectory variant {variant!r}")
 
 
-def _build_directions(spec: dict, dim: int) -> list:
+def _build_directions(spec: dict, grid: SearchGrid) -> list:
     if "count" in spec:
-        if dim != 2:
+        if grid.dim != 2:
             raise ValidationError("direction count shorthand is 2D only")
-        m = _integral(spec["count"], "directions.count")
+        m = _field(spec, "directions.count", _integral)
         if m < 1:
             raise ValidationError("direction count must be positive")
+        _check_size("directions.count", 8 * m * grid.size, MAX_LATTICE_BYTES,
+                    f"set of {m} indicator fields on {grid.size} points")
         return [Direction.from_angle((j - 1) * TWO_PI / m)
                 for j in range(1, m + 1)]
-    angles = spec.get("angles")
-    if not isinstance(angles, list) or not angles:
+    angles = _field(spec, "directions.angles", _list, [])
+    if not angles:
         raise ValidationError(
             "directions need either 'count' or a nonempty 'angles' list")
-    if dim == 2:
+    if grid.dim == 2:
         return [Direction.from_angle(_number(a, "directions.angles entry"))
                 for a in angles]
     return [Direction.from_angles(*_pair(a, "directions.angles entry"))
             for a in angles]
 
 
-def _number(value, name: str) -> float:
-    """A real config number: "3", [3] and true are errors."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} is too large for a float") from None
-
-
-def _integral(value, name: str) -> int:
-    """An integer-valued config number: 18.7 is an error, not 18."""
-    if not _number(value, name).is_integer():
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _vector(value, name: str) -> np.ndarray:
-    """A config list of numbers, or of such lists (trajectory points)."""
-    if not isinstance(value, list):
-        raise ValidationError(f"{name} must be a list of numbers, got "
-                              f"{value!r}")
-    items = [_vector(v, name) if isinstance(v, list) else _number(v, name)
-             for v in value]
-    try:
-        return np.asarray(items, dtype=float)
-    except ValueError:  # ragged nesting
-        raise ValidationError(f"{name} must be a rectangular list of "
-                              f"numbers") from None
-
-
-def _slice(spec) -> SliceSpec:
-    """A grid.slices entry: {"axis": integer, "offset": number}."""
-    if not isinstance(spec, dict):
-        raise ValidationError(f"grid.slices entry must be an object, got "
-                              f"{spec!r}")
-    for key in ("axis", "offset"):
-        if key not in spec:
-            raise ValidationError(
-                f"grid.slices entry is missing field {key!r}")
-    return SliceSpec(_integral(spec["axis"], "grid.slices axis"),
-                     _number(spec["offset"], "grid.slices offset"))
-
-
-def _pair(value, name: str) -> list[float]:
-    """A two-number config list such as [lo, hi]."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ValidationError(f"{name} must be a pair of numbers, got "
-                              f"{value!r}")
-    return [_number(v, name) for v in value]
-
-
-def _section(raw: dict, key: str) -> dict:
-    """A config section that must be a JSON object."""
-    if key not in raw:
-        raise ValidationError(f"config is missing section {key!r}")
-    if not isinstance(raw[key], dict):
-        raise ValidationError(f"config section {key!r} must be an object, "
-                              f"got {raw[key]!r}")
-    return raw[key]
-
-
-def _required(raw: dict, section: str, key: str):
-    try:
-        return raw[section][key]
-    except KeyError:
-        raise ValidationError(
-            f"config is missing field {section}.{key}") from None
-
-
-def _check_size(name: str, nbytes: int, bound: int, what: str) -> None:
-    """Refuse a config field whose arrays would exceed `bound` bytes."""
-    if nbytes > bound:
-        raise ValidationError(f"{name}: the {what} needs {nbytes} bytes, "
-                              f"above the bound of {bound} bytes")
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a config dict, fill defaults, and build typed components."""
+    """Validate a config dict and build its typed components."""
     if not isinstance(raw, dict):
         raise ValidationError(f"config must be a JSON object, got "
                               f"{type(raw).__name__}")
-    raw = dict(raw)
-    for key in ("trajectory", "band", "directions", "grid"):
-        _section(raw, key)
-    raw.setdefault("mode", MODE_RIGOROUS)
-    raw.setdefault("noise", {})
-    noise = _section(raw, "noise")
-    raw["noise"] = {"delta": _number(noise.get("delta", 0.0), "noise.delta"),
-                    "seed": _integral(noise.get("seed", 0), "noise.seed")}
-    raw.setdefault("threshold", indicator.DEFAULT_THRESHOLD)
-    raw.setdefault("output_dir", "out")
-
-    traj = _build_trajectory(raw["trajectory"])
-    band = FrequencyBand(_number(_required(raw, "band", "k_max"),
-                                 "band.k_max"),
-                         _integral(_required(raw, "band", "count"),
-                                   "band.count"))
+    traj = _build_trajectory(_field(raw, "trajectory", _object))
+    spec = _field(raw, "band", _object)
+    band = FrequencyBand(_field(spec, "band.k_max", _number),
+                         _field(spec, "band.count", _integral))
     _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
                 f"{band.n} x {band.n} complex operator")
+    # one quadrature panel per phase oscillation, doubled 6 times at most
+    cycles = band.k_max * (1 + traj.speed_bound()) * traj.interval.duration \
+        / TWO_PI
+    _check_size("band.k_max", 8 * forward.GL_ORDER * 64 * cycles,
+                MAX_QUADRATURE_BYTES, f"quadrature of k_max (1 + max speed) "
+                f"T / 2 pi = {cycles:.6g} phase cycles")
     if not np.any(np.abs(forward.band_weights(traj.interval, band))
                   > WEIGHT_FLOOR):
         raise ValidationError(
             f"every test-vector weight sinc(tau_n T / 2) vanishes: "
             f"dk * T = {band.dk * traj.interval.duration:.6g} is a "
             f"multiple of 2*pi")
-    directions = _build_directions(raw["directions"], traj.dim)
-    if raw["mode"] not in (MODE_RIGOROUS, MODE_PAPER):
-        raise ValidationError(f"unknown mode {raw['mode']!r}")
 
-    bounds = _required(raw, "grid", "bounds")
-    resolution = _required(raw, "grid", "resolution")
-    if not isinstance(bounds, list) or not isinstance(resolution, list):
-        raise ValidationError(
-            "grid.bounds and grid.resolution must be per-axis lists")
-    grid = imaging.make_grid([_pair(b, "grid.bounds entry") for b in bounds],
-                             [_integral(r, "grid.resolution entry")
-                              for r in resolution])
-    _check_size("grid.resolution", 8 * grid.dim * math.prod(grid.resolution),
+    spec = _field(raw, "grid", _object)
+    grid = imaging.make_grid(
+        [_pair(b, "grid.bounds entry")
+         for b in _field(spec, "grid.bounds", _list)],
+        [_integral(r, "grid.resolution entry")
+         for r in _field(spec, "grid.resolution", _list)])
+    _check_size("grid.resolution", 8 * grid.dim * grid.size,
                 MAX_LATTICE_BYTES, f"{grid.dim}D lattice of {grid.resolution}")
     if grid.dim != traj.dim:
         raise ValidationError(
             f"grid is {grid.dim}D but trajectory is {traj.dim}D")
-    slices = raw["grid"].get("slices", [])
-    if not isinstance(slices, list):
-        raise ValidationError(f"grid.slices must be a list, got {slices!r}")
-    slices = [_slice(s) for s in slices]
-    if slices and grid.dim != 3:
-        raise ValidationError("slices are only meaningful for 3D grids")
-    if grid.dim == 3 and not slices:
-        raise ValidationError("3D imaging needs at least one slice plane")
+    slices = []
+    for entry in _field(spec, "grid.slices", _list, []):
+        entry = _object(entry, "grid.slices entry")
+        slices.append(SliceSpec(_field(entry, "grid.slices axis", _integral),
+                                _field(entry, "grid.slices offset", _number)))
+    if bool(slices) != (grid.dim == 3):
+        raise ValidationError("grid.slices: a 3D grid is imaged on one or "
+                              "more slice planes, a 2D grid on none")
 
-    noise = NoiseSpec(raw["noise"]["delta"], raw["noise"]["seed"])
-    threshold = _number(raw["threshold"], "threshold")
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise ValidationError(
-            f"threshold must be finite and >= 0, got {raw['threshold']!r}")
-    return ExperimentConfig(raw=raw, trajectory=traj, band=band,
-                            directions=directions, mode=raw["mode"],
-                            grid=grid, slices=slices, noise=noise,
-                            threshold=threshold,
-                            output_dir=raw["output_dir"])
+    directions = _build_directions(_field(raw, "directions", _object), grid)
+    mode = _field(raw, "mode", _string, MODE_RIGOROUS)
+    if mode not in (MODE_RIGOROUS, MODE_PAPER):
+        raise ValidationError(f"unknown mode {mode!r}")
+    spec = _field(raw, "noise", _object, {})
+    noise = NoiseSpec(_field(spec, "noise.delta", _number, 0.0),
+                      _field(spec, "noise.seed", _integral, 0))
+    threshold = _field(raw, "threshold", _number,
+                       indicator.DEFAULT_THRESHOLD)
+    if threshold < 0.0:
+        raise ValidationError(f"config field 'threshold' must be >= 0, got "
+                              f"{threshold!r}")
+    return ExperimentConfig(
+        trajectory=traj, band=band, directions=directions, mode=mode,
+        grid=grid, slices=slices, noise=noise, threshold=threshold,
+        output_dir=_field(raw, "output_dir", _string, "out"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -283,7 +261,7 @@ def load_config(path) -> ExperimentConfig:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+        raise ValidationError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     return parse_config(raw)
 
 
@@ -309,7 +287,7 @@ def _direction_label(d: Direction) -> str:
     return np.array2string(d.vec, precision=4)
 
 
-def _load_spectra(config: ExperimentConfig, data_dir: Path, mode: str):
+def _load_spectra(config: ExperimentConfig, data_dir: Path):
     spectra = []
     for j, d in enumerate(config.directions, start=1):
         path = data_dir / f"farfield_{j}.csv"
@@ -317,23 +295,8 @@ def _load_spectra(config: ExperimentConfig, data_dir: Path, mode: str):
             raise ValidationError(f"missing data file {path}")
         samples = forward.read_farfield_csv(path, d, config.band)
         spectra.append(spectral.f_sharp_spectrum(
-            spectral.build_operator(samples), mode))
+            spectral.build_operator(samples), config.mode))
     return spectra
-
-
-def _chunked_sums(spectrum, direction, points, interval, band, threads):
-    work = lambda c: indicator.picard_sums_grid(spectrum, direction, c,
-                                                interval, band)
-    if threads <= 1:
-        return work(points)
-    from concurrent.futures import ThreadPoolExecutor  # only threaded runs
-    # split at multiples of the kernel's block so every point goes through
-    # the arithmetic of the serial call and the bytes match
-    step = indicator.POINT_CHUNK * -(-len(points)
-                                     // (threads * indicator.POINT_CHUNK))
-    parts = [points[i:i + step] for i in range(0, len(points), step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(work, parts)))
 
 
 def _warn_aliasing(directions, planes, band) -> None:
@@ -359,24 +322,28 @@ def _warn_aliasing(directions, planes, band) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(config: ExperimentConfig, out_dir) -> int:
-    """Write farfield_<j>.csv per direction (plus *_clean.csv when noisy)."""
-    out = _out_dir(config, out_dir)
-    seed = config.noise.seed
-    env_seed = os.environ.get("MSIMG_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
+    """Write farfield_<j>.csv per direction (plus *_clean.csv when noisy);
+    a run that fails writes none."""
+    noise, seed = config.noise, os.environ.get("MSIMG_SEED")
+    if seed is not None:
+        try:
+            noise = replace(noise, seed=int(seed))
+        except ValueError as e:
+            raise ValidationError(f"MSIMG_SEED={seed!r}: {e}") from None
     total = len(config.directions)
+    files = {}
     for j, d in enumerate(config.directions, start=1):
         _progress(j, total, f"synthesizing {_direction_label(d)}")
         samples = forward.sample_band(config.trajectory, d, config.band)
-        if config.noise.delta > 0.0:
-            forward.write_farfield_csv(out / f"farfield_{j}_clean.csv", samples)
+        if noise.delta > 0.0:
+            files[f"farfield_{j}_clean.csv"] = samples
             # independent per-direction stream, deterministic in (seed, j)
-            noisy = forward.add_noise(
-                samples, NoiseSpec(config.noise.delta, seed + j))
-            forward.write_farfield_csv(out / f"farfield_{j}.csv", noisy)
-        else:
-            forward.write_farfield_csv(out / f"farfield_{j}.csv", samples)
+            samples = forward.add_noise(
+                samples, replace(noise, seed=noise.seed + j))
+        files[f"farfield_{j}.csv"] = samples
+    out = _out_dir(config, out_dir)
+    for name, samples in files.items():
+        forward.write_farfield_csv(out / name, samples)
     print(f"wrote {total} far-field file(s) to {out}")
     return 0
 
@@ -402,7 +369,6 @@ def _lemma_verdict(config: ExperimentConfig, d: Direction) -> str:
 
 def cmd_classify(config: ExperimentConfig, out_dir) -> int:
     """Observability report per direction: CSV plus a console table."""
-    out = _out_dir(config, out_dir)
     rows = []
     for j, d in enumerate(config.directions, start=1):
         rep = traj_mod.xi_extrema(config.trajectory, d)
@@ -419,6 +385,7 @@ def cmd_classify(config: ExperimentConfig, out_dir) -> int:
         })
     header = ["index", "theta", "phi", "xi_min", "xi_max", "width",
               "duration", "class", "lemma"]
+    out = _out_dir(config, out_dir)
     with open(out / "classify.csv", "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for r in rows:
@@ -435,13 +402,10 @@ def cmd_classify(config: ExperimentConfig, out_dir) -> int:
     return 0
 
 
-def cmd_image(config: ExperimentConfig, data_dir, out_dir, mode=None,
-              threads: int = 1) -> int:
+def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
     """Per-direction and truncated multi-direction indicator fields."""
-    out = _out_dir(config, out_dir)
     data = Path(data_dir) if data_dir else Path(config.output_dir)
-    mode = mode or config.mode
-    spectra = _load_spectra(config, data, mode)
+    spectra = _load_spectra(config, data)
     directions = config.directions
     interval, band = config.interval, config.band
     total = len(directions)
@@ -455,11 +419,12 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir, mode=None,
             planes.append((g2, pts3, f"_slice{i}"))
     _warn_aliasing(directions, planes, band)
 
+    out = _out_dir(config, out_dir)
     all_sums = [[] for _ in directions]
     for j, (spec_j, d) in enumerate(zip(spectra, directions), start=1):
         _progress(j, total, f"imaging {_direction_label(d)}")
         for g2, pts, tag in planes:
-            sums = _chunked_sums(spec_j, d, pts, interval, band, threads)
+            sums = indicator.picard_sums_grid(spec_j, d, pts, interval, band)
             all_sums[j - 1].append(sums)
             fld = ScalarField(g2, indicator.indicator_values(sums))
             imaging.write_field_csv(out / f"field_{j}{tag}.csv", fld)
@@ -543,8 +508,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--data", default=None,
                     help="directory with farfield_<j>.csv (default: config output_dir)")
-    sp.add_argument("--mode", choices=[MODE_RIGOROUS, MODE_PAPER], default=None)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=None,
+                    help="ignored: image runs on one thread")
     sp = sub.add_parser("compare", help="compare a field against the oracles")
     sp.add_argument("--config", required=True)
     sp.add_argument("--field", required=True, help="field CSV to score")
@@ -562,15 +527,15 @@ def main(argv=None) -> int:
         if args.command == "classify":
             return cmd_classify(config, args.out)
         if args.command == "image":
-            return cmd_image(config, args.data, args.out,
-                             mode=args.mode, threads=args.threads)
-        if args.command == "compare":
-            return cmd_compare(config, args.field, args.out, args.margin)
-        raise AssertionError("unreachable")
+            if args.threads is not None:
+                print("warning: --threads is ignored; image runs on one "
+                      "thread", file=sys.stderr)
+            return cmd_image(config, args.data, args.out)
+        return cmd_compare(config, args.field, args.out, args.margin)
     except (QuadratureError, DiagonalizationError, np.linalg.LinAlgError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError) as e:
+    except (ValueError, OSError) as e:  # ValidationError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

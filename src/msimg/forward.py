@@ -24,15 +24,15 @@ import numpy as np
 from .trajectory import Direction, TimeInterval, Trajectory
 
 QUAD_TOL = 1e-10
-_GL_ORDER = 20
+GL_ORDER = 20
 
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the _GL_ORDER-point rule on [-1, 1], computed
+    """Nodes and weights of the GL_ORDER-point rule on [-1, 1], computed
     on first use: importing numpy.polynomial slows every CLI start-up."""
     from numpy.polynomial.legendre import leggauss
-    nodes, weights = leggauss(_GL_ORDER)
+    nodes, weights = leggauss(GL_ORDER)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -122,8 +122,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"noise delta must be finite and >= 0, got "
+                             f"{self.delta!r}")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be >= 0, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +138,7 @@ def _phase_integral(traj: Trajectory, direction: Direction, k: float,
     """Gauss-Legendre panel evaluation of the far-field integral.
 
     Panels are split at velocity breakpoints; within each smooth piece the
-    panel count keeps at least _GL_ORDER nodes per phase oscillation, and
+    panel count keeps at least GL_ORDER nodes per phase oscillation, and
     `refine` doublings shrink the panels further.
     """
     iv = traj.interval
@@ -231,9 +234,10 @@ def read_farfield_csv(path, direction: Direction,
                       band: FrequencyBand) -> FarFieldSamples:
     """Load samples; the file's frequency grid must match `band`."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    ks = data[:, 0]
-    vals = np.empty(len(ks), dtype=complex)  # re + 1j * im drops -0.0 parts
+    if data.shape != (band.n, 3) or not np.allclose(
+            data[:, 0], band.midpoints(), atol=1e-9):
+        raise ValueError(f"{path}: expected {band.n} rows k,re,im on the "
+                         f"frequency grid of the band")
+    vals = np.empty(band.n, dtype=complex)  # re + 1j * im drops -0.0 parts
     vals.real, vals.imag = data[:, 1], data[:, 2]
-    if len(ks) != band.n or not np.allclose(ks, band.midpoints(), atol=1e-9):
-        raise ValueError(f"{path}: frequency grid does not match the band")
     return FarFieldSamples(direction, band, vals)

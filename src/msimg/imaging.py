@@ -38,7 +38,7 @@ class SearchGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.resolution))
+        return math.prod(self.resolution)
 
     def axes(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, r)

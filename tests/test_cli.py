@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,15 +48,12 @@ def _run(*argv):
 def test_config_roundtrip(tmp_path):
     path = _base_config(tmp_path, noise={"delta": 0.01, "seed": 7},
                         threshold=1234.5)
-    c1 = cli.load_config(path)
-    path2 = tmp_path / "config2.json"
-    path2.write_text(c1.to_json())
-    c2 = cli.load_config(path2)
-    assert c1.raw == c2.raw
-    assert c2.noise == m.NoiseSpec(0.01, 7)
-    assert c2.threshold == 1234.5
-    assert c2.band == c1.band
-    assert [d.theta for d in c2.directions] == [d.theta for d in c1.directions]
+    c = cli.load_config(path)
+    assert c.noise == m.NoiseSpec(0.01, 7)
+    assert c.threshold == 1234.5
+    assert c.band == m.FrequencyBand(3 * PI, 18)
+    assert [d.theta for d in c.directions] == [PI / 2]
+    assert (c.mode, c.output_dir) == ("rigorous", str(tmp_path / "out"))
 
 
 def test_config_parse_error_has_line_context(tmp_path, capsys):
@@ -132,6 +133,16 @@ def _config3d(slices, axis=None):
     ({"trajectory": {"variant": "piecewise", "times": [0.0, 1.0],
                      "points": {"p": [0.0, 0.0]}}}, "trajectory.points"),
     ({"band": {"k_max": 3 * PI, "count": 10 ** 400}}, "band.count"),
+    ({"noise": {"delta": float("nan"), "seed": 1}}, "noise.delta"),
+    ({"noise": {"delta": float("inf"), "seed": 1}}, "noise.delta"),
+    ({"noise": {"delta": -0.1, "seed": 1}}, "noise delta"),
+    ({"noise": {"delta": 0.01, "seed": -5}}, "noise seed"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"mode": "exact"}, "mode"),
+    ({"directions": {"count": 10 ** 9}}, "directions.count"),
+    ({"band": {"k_max": 1e9, "count": 18}}, "band.k_max"),
+    ({"trajectory": {"variant": "line", "speed": 1e300, "angle": PI / 2,
+                     "interval": [1.0, 3.0]}}, "band.k_max"),
 ], ids=["fractional_count", "fractional_resolution", "negative_threshold",
         "nan_threshold", "missing_count", "missing_k_max", "infinite_k_max",
         "missing_bounds", "scalar_resolution", "band_not_object",
@@ -140,7 +151,10 @@ def _config3d(slices, axis=None):
         "fractional_direction_count", "top_level_list",
         "slice_not_object", "slice_without_axis", "fractional_slice_axis",
         "axis_object", "offset_object", "center_object", "times_object",
-        "points_object", "count_beyond_float"])
+        "points_object", "count_beyond_float", "nan_noise_delta",
+        "infinite_noise_delta", "negative_noise_delta", "negative_noise_seed",
+        "output_dir_number", "unknown_mode", "huge_direction_count",
+        "huge_k_max", "huge_speed"])
 def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
                                              field):
     if isinstance(overrides, dict):
@@ -207,6 +221,18 @@ def test_synth_env_seed_override(tmp_path, monkeypatch):
     assert _run("synth", "--config", path, "--out", c) == 0
     assert (a / "farfield_1.csv").read_bytes() == (b / "farfield_1.csv").read_bytes()
     assert (a / "farfield_1.csv").read_bytes() != (c / "farfield_1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["abc", "-5", "1.5"])
+def test_synth_rejects_bad_env_seed_before_writing(tmp_path, capsys,
+                                                   monkeypatch, seed):
+    monkeypatch.setenv("MSIMG_SEED", seed)
+    path = _base_config(tmp_path, noise={"delta": 0.01, "seed": 5})
+    out = tmp_path / "data"
+    out.mkdir()
+    assert _run("synth", "--config", path, "--out", out) == 2
+    assert f"MSIMG_SEED={seed!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_synth_3d_nine_directions(tmp_path, monkeypatch):
@@ -338,33 +364,22 @@ def test_image_missing_data_file(tmp_path, monkeypatch):
     assert _run("image", "--config", path, "--data", tmp_path / "nowhere") == 2
 
 
-def test_image_threads_match_serial(tmp_path, monkeypatch):
+def test_image_threads_match_serial(tmp_path, capsys, monkeypatch):
+    # --threads is accepted, warned about and ignored
     monkeypatch.delenv("MSIMG_SEED", raising=False)
     path = _base_config(tmp_path)
     data = tmp_path / "data"
     _run("synth", "--config", path, "--out", data)
     out1, out4 = tmp_path / "img1", tmp_path / "img4"
     assert _run("image", "--config", path, "--data", data, "--out", out1) == 0
+    assert "warning" not in capsys.readouterr().err
     assert _run("image", "--config", path, "--data", data, "--out", out4,
                 "--threads", 4) == 0
-    assert (out1 / "field_1.csv").read_bytes() == \
-        (out4 / "field_1.csv").read_bytes()
-
-
-def test_image_threads_match_serial_across_chunks(tmp_path, monkeypatch):
-    # 101^2 points span five kernel blocks, so the threads split the lattice
-    monkeypatch.delenv("MSIMG_SEED", raising=False)
-    path = _base_config(tmp_path, grid={"bounds": [[-2, 2], [0, 4]],
-                                        "resolution": [101, 101]})
-    assert 101 * 101 >= 3 * m.indicator.POINT_CHUNK
-    data = tmp_path / "data"
-    _run("synth", "--config", path, "--out", data)
-    out1, out2 = tmp_path / "img1", tmp_path / "img2"
-    assert _run("image", "--config", path, "--data", data, "--out", out1) == 0
-    assert _run("image", "--config", path, "--data", data, "--out", out2,
-                "--threads", 2) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("warning:")]
+    assert len(warnings) == 1 and "--threads is ignored" in warnings[0]
     for name in ("field_1.csv", "field_1.pgm", "field_multi.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert (out1 / name).read_bytes() == (out4 / name).read_bytes()
 
 
 @pytest.mark.parametrize("k_max, warned", [(3 * PI, 0), (12 * PI, 1)])
@@ -422,14 +437,17 @@ def test_image_3d_slices(tmp_path, capsys, monkeypatch):
 
 
 def test_image_paper_mode_flag(tmp_path, monkeypatch):
+    # the config's mode chooses the spectral construction
     monkeypatch.delenv("MSIMG_SEED", raising=False)
     path = _base_config(tmp_path)
     data = tmp_path / "data"
     _run("synth", "--config", path, "--out", data)
+    (tmp_path / "paper").mkdir()
+    paper = _base_config(tmp_path / "paper", mode="paper")
     out_r, out_p = tmp_path / "imgr", tmp_path / "imgp"
     assert _run("image", "--config", path, "--data", data, "--out", out_r) == 0
-    assert _run("image", "--config", path, "--data", data, "--out", out_p,
-                "--mode", "paper") == 0
+    assert _run("image", "--config", paper, "--data", data,
+                "--out", out_p) == 0
     assert (out_r / "field_1.csv").read_bytes() != \
         (out_p / "field_1.csv").read_bytes()
 
@@ -530,6 +548,17 @@ def test_compare_rejects_bad_margin(tmp_path, capsys, margin):
                 "--margin", margin, "--out", report) == 2
     assert "margin" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "synth"])
+def test_cli_reports_unusable_paths(tmp_path, capsys, command):
+    # a config that does not exist, and an output directory that is a file
+    assert _run(command, "--config", tmp_path / "nowhere.json") == 2
+    assert "nowhere.json" in capsys.readouterr().err
+    (tmp_path / "taken").write_text("")
+    path = _base_config(tmp_path)
+    assert _run(command, "--config", path, "--out", tmp_path / "taken") == 2
+    assert "taken" in capsys.readouterr().err
 
 
 def test_compare_missing_field_file(tmp_path, capsys):
@@ -648,3 +677,166 @@ def test_config_size_guards_admit_the_bounds(tmp_path):
     assert cfg.band.n == _MAX_COUNT
     assert cfg.grid.resolution == (_MAX_SIDE_2D, _MAX_SIDE_2D)
     assert 8 * 3 * _MAX_SIDE_3D ** 3 <= cli.MAX_LATTICE_BYTES
+
+
+# ---------------------------------------------------------------------------
+# CLI contract: every input ends in exit code 0, 2 or 3
+# ---------------------------------------------------------------------------
+
+# small runs of each trajectory variant, with every optional section set
+_FUZZ_CONFIGS = {
+    "line": {"trajectory": {"variant": "line", "speed": 1.0, "angle": PI / 2,
+                            "offset": [0.0, 0.0], "interval": [1.0, 3.0]},
+             "band": {"k_max": 3 * PI, "count": 6},
+             "directions": {"angles": [PI / 2, 0.0]},
+             "mode": "rigorous",
+             "grid": {"bounds": [[-2, 2], [0, 4]], "resolution": [9, 9]},
+             "noise": {"delta": 0.01, "seed": 3},
+             "threshold": 3500.0, "output_dir": "out"},
+    "arc": {"trajectory": {"variant": "arc", "center": [0.0, 0.0],
+                           "radius": 1.0, "phase": 0.5, "orientation": -1,
+                           "interval": [0.0, 2.0]},
+            "band": {"k_max": 3 * PI, "count": 6},
+            "directions": {"count": 3},
+            "grid": {"bounds": [[-2, 2], [-2, 2]], "resolution": [9, 9]}},
+    "piecewise": {"trajectory": {"variant": "piecewise",
+                                 "times": [0.0, 1.0, 2.0],
+                                 "points": [[0.0, 0.0], [1.0, 1.0],
+                                            [2.0, 0.0]]},
+                  "band": {"k_max": 3 * PI, "count": 6},
+                  "directions": {"angles": [0.0]},
+                  "grid": {"bounds": [[-1, 3], [-1, 2]],
+                           "resolution": [9, 9]}},
+    "line3d": {"trajectory": {"variant": "line", "speed": 1.0,
+                              "axis": [0.0, 0.0, 1.0],
+                              "offset": [0.0, 0.0, 0.0],
+                              "interval": [0.0, 1.0]},
+               "band": {"k_max": 3 * PI, "count": 6},
+               "directions": {"angles": [[0.4, 0.8]]},
+               "grid": {"bounds": [[-2, 2]] * 3, "resolution": [5, 5, 5],
+                        "slices": [{"axis": 0, "offset": 0.0}]}},
+}
+
+_DROP, _FRACTION, _NEGATE = "drop key", "add 0.5", "negate"
+_MUTATIONS = [_DROP, _FRACTION, _NEGATE, "x", [1.0], {}, None, True,
+              math.nan, math.inf, -math.inf, 0.5, 1e9, 1e300, 10 ** 400]
+
+
+def _config_paths(node, path=()):
+    """The key path of every value inside a config, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _config_paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_CONFIGS)))
+    cfg = json.loads(json.dumps(_FUZZ_CONFIGS[name]))
+    *where, key = draw(st.sampled_from(list(_config_paths(cfg))))
+    parent = cfg
+    for k in where:
+        parent = parent[k]
+    how = draw(st.sampled_from(_MUTATIONS))
+    old = parent[key]
+    number = isinstance(old, (int, float)) and not isinstance(old, bool)
+    if how is _DROP:
+        del parent[key]
+    elif how is _FRACTION:
+        parent[key] = old + 0.5 if number else 0.5
+    elif how is _NEGATE:
+        parent[key] = -old if number else -7
+    else:
+        parent[key] = how
+    return name, cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_data(tmp_path_factory):
+    """farfield_<j>.csv of each unmutated fuzz config, by config name."""
+    root = tmp_path_factory.mktemp("fuzz_data")
+    for name, cfg in _FUZZ_CONFIGS.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert _run("synth", "--config", path, "--out", root / name) == 0
+    return root
+
+
+def _assert_contract(root: Path, *argv):
+    """main(argv) exits 0, 2 or 3; a failure says why and writes nothing
+    under `root`."""
+    before = sorted(root.rglob("*"))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = _run(*argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().strip()
+        assert sorted(root.rglob("*")) == before
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_mutated_configs(),
+       command=st.sampled_from(["classify", "synth", "image"]))
+def test_cli_contract_on_mutated_configs(fuzz_data, case, command):
+    # a dropped key, a wrong type, a non-finite, fractional, negative or
+    # huge number anywhere in the config; image reads the data of the
+    # unmutated config
+    name, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path = root / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", path, "--out", root / "out"]
+        if command == "image":
+            argv += ["--data", fuzz_data / name]
+        _assert_contract(root, *argv)
+
+
+_CORRUPTIONS = {
+    "missing": None,
+    "empty": "",
+    "header only": "k,re,im\n",
+    "row dropped": lambda rows: rows[:-1],
+    "row repeated": lambda rows: rows + rows[-1:],
+    "column dropped": lambda rows: [r.rsplit(",", 1)[0] for r in rows],
+    "column added": lambda rows: [r + ",0" for r in rows],
+    "nan": lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + ",nan"]
+    + rows[3:],
+    "overflow": lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + ",1e999"]
+    + rows[3:],
+    "huge": lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + ",1e300"]
+    + rows[3:],
+    "text": lambda rows: rows[:2] + ["x,y,z"] + rows[3:],
+    "wrong k": lambda rows: rows[:1] + ["9" + rows[1]] + rows[2:],
+    "not utf-8": b"\xff\xfe\x00k,re,im\n",
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_FUZZ_CONFIGS)),
+       corruption=st.sampled_from(sorted(_CORRUPTIONS)), j=st.integers(1, 3))
+def test_cli_contract_on_corrupt_data(fuzz_data, name, corruption, j):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        data = root / "data"
+        shutil.copytree(fuzz_data / name, data)
+        count = len(list(data.glob("farfield_[0-9].csv")))
+        target = data / f"farfield_{min(j, count)}.csv"
+        how = _CORRUPTIONS[corruption]
+        if how is None:
+            target.unlink()
+        elif isinstance(how, bytes):
+            target.write_bytes(how)
+        elif isinstance(how, str):
+            target.write_text(how)
+        else:
+            rows = target.read_text().splitlines()
+            target.write_text("\n".join(how(rows)) + "\n")
+        _assert_contract(root, "image", "--config", fuzz_data / f"{name}.json",
+                         "--data", data, "--out", root / "out")

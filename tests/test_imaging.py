@@ -46,6 +46,13 @@ def test_make_grid_3d_count():
     assert grid.size == 81 ** 3
 
 
+def test_grid_size_past_int64():
+    # the count is exact where an int64 product wraps to 0; nothing of
+    # that size is allocated
+    assert m.make_grid([(0, 1)] * 3, [2 ** 22] * 3).size == 2 ** 66
+    assert m.make_grid([(0, 1)] * 2, [2 ** 32] * 2).size == 2 ** 64
+
+
 def test_make_grid_validation():
     with pytest.raises(ValueError):
         m.make_grid([(2, 2), (0, 1)], (10, 10))
