@@ -7,19 +7,17 @@ from .forward import (FarFieldSamples, FrequencyBand, NoiseSpec,
 from .imaging import (ScalarField, SearchGrid, SliceSpec, contrast_metric,
                       make_grid, mask_strip, mask_theta, read_field_csv,
                       slice_grid, write_field_csv, write_mask_csv, write_pgm)
-from .indicator import (DEFAULT_THRESHOLD, PicardResult, TestVector,
-                        combine_directions, direction_filter,
-                        filtered_field_values, indicator_multi,
-                        indicator_single, picard_sum, picard_sums_grid,
-                        test_vector)
+from .indicator import (DEFAULT_THRESHOLD, PicardResult, combine_directions,
+                        direction_filter, filtered_field_values,
+                        indicator_multi, indicator_single, picard_sum,
+                        picard_sums_grid, test_vector)
 from .spectral import (MODE_PAPER, MODE_RIGOROUS, DiagonalizationError,
-                       FarFieldOperator, Spectrum, build_operator,
-                       f_sharp_spectrum, hermitian_abs, hermitian_parts)
+                       Spectrum, build_operator, f_sharp_spectrum,
+                       hermitian_abs, hermitian_parts)
 from .trajectory import (Arc, Direction, Line, ObservabilityReport,
                          PiecewiseLinear, Sampled, Strip, ThetaDomain,
                          TimeInterval, Trajectory, classify,
-                         division_points, eval_position, eval_velocity,
-                         h_derivative, h_values, observable_set_arc,
+                         division_points, h_values, observable_set_arc,
                          observable_set_line, projection_hull, strip,
                          theta_domain, xi_extrema)
 

@@ -237,6 +237,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if bool(slices) != (grid.dim == 3):
         raise ValidationError("grid.slices: a 3D grid is imaged on one or "
                               "more slice planes, a 2D grid on none")
+    for spec in slices:
+        try:
+            spec.check(grid)
+        except ValueError as e:
+            raise ValidationError(f"grid.slices: {e}") from None
 
     directions = _build_directions(_field(raw, "directions", _object), grid)
     mode = _field(raw, "mode", _string, MODE_RIGOROUS)
@@ -250,10 +255,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if threshold < 0.0:
         raise ValidationError(f"config field 'threshold' must be >= 0, got "
                               f"{threshold!r}")
+    output_dir = _field(raw, "output_dir", _string, "out")
+    if not output_dir:
+        raise ValidationError("config field 'output_dir' must not be empty")
     return ExperimentConfig(
         trajectory=traj, band=band, directions=directions, mode=mode,
         grid=grid, slices=slices, noise=noise, threshold=threshold,
-        output_dir=_field(raw, "output_dir", _string, "out"))
+        output_dir=output_dir)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -521,6 +529,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "compare" and not 0.0 <= args.margin < math.inf:
+            raise ValidationError(f"--margin must be finite and >= 0, got "
+                                  f"{args.margin!r}")
         config = load_config(args.config)
         if args.command == "synth":
             return cmd_synth(config, args.out)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .trajectory import Direction, TimeInterval, Trajectory
+from .trajectory import Direction, TimeInterval, Trajectory, h_values
 
 QUAD_TOL = 1e-10
 GL_ORDER = 20
@@ -153,7 +153,7 @@ def _phase_integral(traj: Trajectory, direction: Direction, k: float,
         half = 0.5 * (edges[1:] - edges[:-1])
         mids = 0.5 * (edges[1:] + edges[:-1])
         ts = (mids[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
-        phases = ts + traj.positions(ts) @ direction.vec
+        phases = h_values(traj, direction, ts)
         w = (half[:, None] * gl_weights[None, :]).ravel()
         total += np.sum(w * np.exp(-1j * k * phases))
     return complex(total)

@@ -81,6 +81,16 @@ class SliceSpec:
     axis: int
     offset: float
 
+    def check(self, grid3: SearchGrid) -> None:
+        """Raise ValueError unless the plane cuts the 3D grid."""
+        if grid3.dim != 3:
+            raise ValueError("slicing needs a 3D grid")
+        if not 0 <= self.axis < 3:
+            raise ValueError(f"slice axis {self.axis} is not 0, 1 or 2")
+        lo, hi = grid3.bounds[self.axis]
+        if not lo <= self.offset <= hi:
+            raise ValueError(f"slice offset {self.offset} outside [{lo}, {hi}]")
+
 
 def make_grid(bounds, resolution) -> SearchGrid:
     """Uniform lattice over per-axis [lo, hi] with the given point counts."""
@@ -93,13 +103,7 @@ def slice_grid(grid3: SearchGrid, spec: SliceSpec):
     Off-lattice offsets are snapped to the nearest lattice plane with a
     warning; returns (grid2, points3, snapped_offset).
     """
-    if grid3.dim != 3:
-        raise ValueError("slicing needs a 3D grid")
-    if not 0 <= spec.axis < 3:
-        raise ValueError("slice axis out of range")
-    lo, hi = grid3.bounds[spec.axis]
-    if not lo <= spec.offset <= hi:
-        raise ValueError(f"slice offset {spec.offset} outside [{lo}, {hi}]")
+    spec.check(grid3)
     axis_vals = grid3.axes()[spec.axis]
     idx = int(np.argmin(np.abs(axis_vals - spec.offset)))
     snapped = float(axis_vals[idx])

@@ -48,16 +48,6 @@ POINT_CHUNK = 2048
 
 
 @dataclass(frozen=True, eq=False)
-class TestVector:
-    """Discretized range-test profile of a probe point for one direction."""
-
-    entries: np.ndarray
-    direction: Direction
-    point: np.ndarray
-    interval: TimeInterval
-
-
-@dataclass(frozen=True, eq=False)
 class PicardResult:
     """Total Picard sum and the per-eigenpair contributions."""
 
@@ -66,22 +56,19 @@ class PicardResult:
 
 
 def test_vector(direction: Direction, y, interval: TimeInterval,
-                band: FrequencyBand) -> TestVector:
-    """Test vector of probe point y; depends on y only through x_hat . y."""
-    y = np.asarray(y, dtype=float)
-    proj = np.array([float(direction.vec @ y)])
-    entries = probe_entries(proj, interval, band)[:, 0]
-    return TestVector(entries, direction, y, interval)
+                band: FrequencyBand) -> np.ndarray:
+    """Entries phi_n(y), shape (N,); they depend on y only through x_hat . y."""
+    proj = np.array([float(direction.vec @ np.asarray(y, dtype=float))])
+    return probe_entries(proj, interval, band)[:, 0]
 
 
-def picard_sum(spectrum: Spectrum, phi: TestVector | np.ndarray) -> PicardResult:
+def picard_sum(spectrum: Spectrum, phi: np.ndarray) -> PicardResult:
     """Series terms |<phi, psi_n>|^2 / lambda_n with floored eigenvalues.
 
     The inner product is conjugate-linear in the second argument:
     <u, v> = sum_m u_m conj(v_m).
     """
-    entries = phi.entries if isinstance(phi, TestVector) else np.asarray(phi)
-    coef = spectrum.eigenvectors.conj().T @ entries
+    coef = spectrum.eigenvectors.conj().T @ np.asarray(phi)
     terms = np.abs(coef) ** 2 / spectrum.floored_eigenvalues()
     return PicardResult(float(np.sum(terms)), terms)
 

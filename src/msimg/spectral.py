@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import FarFieldSamples, FrequencyBand, band_weights
-from .trajectory import Direction, TimeInterval
+from .trajectory import TimeInterval
 
 MODE_RIGOROUS = "rigorous"
 MODE_PAPER = "paper"
@@ -31,15 +31,6 @@ EIGENVALUE_FLOOR = 1e-14
 
 class DiagonalizationError(RuntimeError):
     """Eigen decomposition unavailable or numerically defective."""
-
-
-@dataclass(frozen=True, eq=False)
-class FarFieldOperator:
-    """Toeplitz discretization of the far-field operator for one direction."""
-
-    matrix: np.ndarray
-    band: FrequencyBand
-    direction: Direction
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +95,8 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
-def build_operator(samples: FarFieldSamples) -> FarFieldOperator:
-    """Assemble the N x N Toeplitz matrix from the band samples.
+def build_operator(samples: FarFieldSamples) -> np.ndarray:
+    """The N x N complex Toeplitz matrix F of the band samples.
 
     Column m of the first row holds conj(w(k_{m-1})); row n of the first
     column holds w(k_n); all diagonals are constant by construction.
@@ -117,13 +108,12 @@ def build_operator(samples: FarFieldSamples) -> FarFieldOperator:
     # F[i, j] = first_col[i - j] for i >= j and first_row[j - i] otherwise
     n = len(w)
     diagonals = np.concatenate((first_row[:0:-1], first_col))
-    matrix = diagonals[n - 1 + np.subtract.outer(np.arange(n), np.arange(n))]
-    return FarFieldOperator(matrix, samples.band, samples.direction)
+    return diagonals[n - 1 + np.subtract.outer(np.arange(n), np.arange(n))]
 
 
-def hermitian_parts(op: FarFieldOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_parts(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian matrices (Re F, Im F) with F = Re F + i Im F exactly."""
-    F = op.matrix if isinstance(op, FarFieldOperator) else np.asarray(op)
+    F = np.asarray(F)
     Fh = F.conj().T
     return 0.5 * (F + Fh), (F - Fh) / 2j
 
@@ -153,17 +143,16 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def f_sharp_spectrum(op: FarFieldOperator, mode: str = MODE_RIGOROUS) -> Spectrum:
-    """Eigensystem of the positive operator in the requested mode.
+def f_sharp_spectrum(F: np.ndarray, mode: str = MODE_RIGOROUS) -> Spectrum:
+    """Eigensystem of the positive operator of the matrix F in `mode`.
 
     "rigorous": Hermitian eigensystem of |Re F| + |Im F|.
     "paper": eigensystem of F with lambda_n = |Re l_n| + |Im l_n|; raises
     DiagonalizationError when the eigenvector basis of F is numerically
     defective.
     """
-    F = op.matrix
     if mode == MODE_RIGOROUS:
-        re, im = hermitian_parts(op)
+        re, im = hermitian_parts(F)
         f_sharp = hermitian_abs(re) + hermitian_abs(im)
         lam, vecs = np.linalg.eigh(f_sharp)
     elif mode == MODE_PAPER:

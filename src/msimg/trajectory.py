@@ -55,9 +55,6 @@ class TimeInterval:
     def midpoint(self) -> float:
         return 0.5 * (self.t_min + self.t_max)
 
-    def contains(self, t: float) -> bool:
-        return self.t_min <= t <= self.t_max
-
 
 @dataclass(frozen=True, eq=False)
 class Direction:
@@ -108,20 +105,13 @@ class Direction:
 # ---------------------------------------------------------------------------
 
 class Trajectory:
-    """Base orbit type: position/velocity over a TimeInterval."""
+    """Base orbit type: positions over a TimeInterval."""
 
     interval: TimeInterval
     dim: int
 
-    def position(self, t: float) -> np.ndarray:
-        return self.positions(np.array([float(t)]))[0]
-
     def positions(self, ts: np.ndarray) -> np.ndarray:
         """Positions at an array of times, shape (len(ts), dim)."""
-        raise NotImplementedError
-
-    def velocity(self, t: float, side: str = "right") -> np.ndarray:
-        """One-sided derivative of the orbit; `side` matters at breakpoints."""
         raise NotImplementedError
 
     def breakpoints(self) -> np.ndarray:
@@ -131,12 +121,6 @@ class Trajectory:
     def speed_bound(self) -> float:
         """Upper bound on |a'(t)| over the interval."""
         raise NotImplementedError
-
-    def _check_time(self, t: float):
-        if not self.interval.contains(t):
-            raise ValueError(
-                f"t={t} outside emission interval "
-                f"[{self.interval.t_min}, {self.interval.t_max}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +170,6 @@ class Line(Trajectory):
         ts = np.asarray(ts, dtype=float)
         return self.offset[None, :] + self.speed * ts[:, None] * self._unit[None, :]
 
-    def velocity(self, t, side="right"):
-        self._check_time(t)
-        return self.speed * self._unit.copy()
-
     def speed_bound(self):
         return self.speed
 
@@ -226,11 +206,6 @@ class Arc(Trajectory):
         return self.center[None, :] + self.radius * np.stack(
             [np.cos(u), np.sin(u)], axis=1)
 
-    def velocity(self, t, side="right"):
-        self._check_time(t)
-        u = self.orientation * t + self.phase
-        return self.radius * self.orientation * np.array([-math.sin(u), math.cos(u)])
-
     def speed_bound(self):
         return self.radius
 
@@ -266,24 +241,15 @@ class PiecewiseLinear(Trajectory):
             out[:, d] = np.interp(ts, self.times, self.points[:, d])
         return out
 
-    def _segment_index(self, t, side="right"):
-        # segment i covers [times[i], times[i+1]]
-        look = "right" if side == "right" else "left"
-        i = int(np.searchsorted(self.times, t, side=look)) - 1
-        return min(max(i, 0), len(self.times) - 2)
-
-    def velocity(self, t, side="right"):
-        self._check_time(t)
-        i = self._segment_index(t, side)
-        dt = self.times[i + 1] - self.times[i]
-        return (self.points[i + 1] - self.points[i]) / dt
+    def velocities(self) -> np.ndarray:
+        """Velocity on each segment [times[i], times[i+1]], shape (n-1, dim)."""
+        return np.diff(self.points, axis=0) / np.diff(self.times)[:, None]
 
     def breakpoints(self):
         return self.times[1:-1].copy()
 
     def speed_bound(self):
-        seg = np.diff(self.points, axis=0) / np.diff(self.times)[:, None]
-        return float(np.max(np.linalg.norm(seg, axis=1)))
+        return float(np.max(np.linalg.norm(self.velocities(), axis=1)))
 
 
 class Sampled(PiecewiseLinear):
@@ -291,19 +257,8 @@ class Sampled(PiecewiseLinear):
 
 
 # ---------------------------------------------------------------------------
-# Retarded phase h and its derivative
+# Retarded phase h
 # ---------------------------------------------------------------------------
-
-def eval_position(traj: Trajectory, t: float) -> np.ndarray:
-    """Orbit position a(t); t must lie in the emission interval."""
-    traj._check_time(t)
-    return traj.position(t)
-
-
-def eval_velocity(traj: Trajectory, t: float, side: str = "right") -> np.ndarray:
-    """Orbit velocity a'(t); the right derivative at velocity breakpoints."""
-    return traj.velocity(t, side)
-
 
 def _check_dims(traj: Trajectory, direction: Direction):
     if traj.dim != direction.dim:
@@ -315,13 +270,6 @@ def h_values(traj: Trajectory, direction: Direction, ts: np.ndarray) -> np.ndarr
     _check_dims(traj, direction)
     ts = np.asarray(ts, dtype=float)
     return ts + traj.positions(ts) @ direction.vec
-
-
-def h_derivative(traj: Trajectory, direction: Direction, t: float,
-                 side: str = "right") -> float:
-    """h'(t) = 1 + x_hat . a'(t), one-sided at velocity breakpoints."""
-    _check_dims(traj, direction)
-    return 1.0 + float(direction.vec @ eval_velocity(traj, t, side))
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +329,12 @@ def division_points(traj: Trajectory, direction: Direction) -> list[float]:
     """Interior times where h' changes sign or a zero plateau starts/ends.
 
     Exact for every orbit variant.  h' is constant on a Line, so there are
-    none.  On a polyline h' is constant on each segment, and a vertex is a
-    division point when the signs of h' on its two sides differ, a zero
-    plateau (|h'| <= PLATEAU_TOL) next to a nonzero slope included.  On an
-    Arc, h' = 1 - s*r*sin(u) has its interior roots at sin(u) = s/r; they
-    are sign changes once h' dips below -PLATEAU_TOL, i.e. for
+    none.  On a polyline h' = 1 + x_hat . v is constant on each segment of
+    velocity v (PiecewiseLinear.velocities), and a vertex is a division
+    point when the signs of h' on its two sides differ, a zero plateau
+    (|h'| <= PLATEAU_TOL) next to a nonzero slope included.  On an Arc,
+    h' = 1 - s*r*sin(u) has its interior roots at sin(u) = s/r; they are
+    sign changes once h' dips below -PLATEAU_TOL, i.e. for
     r > 1 + PLATEAU_TOL, while at r = 1 h' only touches zero tangentially
     and nothing is reported.
     """
@@ -396,9 +345,9 @@ def division_points(traj: Trajectory, direction: Direction) -> list[float]:
         if _sign3(1.0 - traj.radius) >= 0:
             return []
         return sorted(_arc_critical_times(traj, direction, with_time_term=True))
-    return [float(b) for b in traj.breakpoints()
-            if _sign3(h_derivative(traj, direction, b, "left"))
-            != _sign3(h_derivative(traj, direction, b, "right"))]
+    signs = [_sign3(s) for s in 1.0 + traj.velocities() @ direction.vec]
+    return [float(traj.times[i]) for i in range(1, len(signs))
+            if signs[i - 1] != signs[i]]
 
 
 def _range_of(traj: Trajectory, direction: Direction, with_time_term: bool):
@@ -407,9 +356,8 @@ def _range_of(traj: Trajectory, direction: Direction, with_time_term: bool):
     iv = traj.interval
     ts = np.array([iv.t_min, iv.t_max,
                    *_critical_times(traj, direction, with_time_term)])
-    vals = traj.positions(ts) @ direction.vec
-    if with_time_term:
-        vals = ts + vals
+    vals = (h_values(traj, direction, ts) if with_time_term
+            else traj.positions(ts) @ direction.vec)
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -466,12 +414,6 @@ class Strip:
     def empty(self) -> bool:
         return self.hi < self.lo
 
-    def contains(self, y) -> bool:
-        if self.empty:
-            return False
-        p = float(self.direction.vec @ np.asarray(y, dtype=float))
-        return self.lo <= p <= self.hi
-
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         if self.empty:
             return np.zeros(len(points), dtype=bool)
@@ -505,11 +447,6 @@ class ThetaDomain:
     @property
     def empty(self) -> bool:
         return len(self.strips) == 0
-
-    def contains(self, y) -> bool:
-        if self.empty:
-            return False
-        return all(s.contains(y) for s in self.strips)
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

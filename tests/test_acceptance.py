@@ -164,7 +164,7 @@ def test_c04_operator_structure(slow_line, band):
     for theta in (0.0, PI / 2, 5 * PI / 4):
         d = m.Direction.from_angle(theta)
         samples = m.sample_band(slow_line, d, band)
-        F = m.build_operator(samples).matrix
+        F = m.build_operator(samples)
         n = F.shape[0]
         for off in range(-(n - 1), n):
             diag = np.diagonal(F, offset=off)

@@ -121,6 +121,8 @@ def _config3d(slices, axis=None):
     (_config3d([5]), "grid.slices"),
     (_config3d([{"offset": 0.0}]), "grid.slices"),
     (_config3d([{"axis": 0.5, "offset": 0.0}]), "grid.slices axis"),
+    (_config3d([{"axis": 7, "offset": 0.0}]), "grid.slices"),
+    (_config3d([{"axis": 2, "offset": 2.5}]), "grid.slices"),
     (_config3d([{"axis": 0, "offset": 0.0}], axis={"z": 1}),
      "trajectory.axis"),
     ({"trajectory": {"variant": "line", "speed": 1.0, "angle": PI / 2,
@@ -138,6 +140,7 @@ def _config3d(slices, axis=None):
     ({"noise": {"delta": -0.1, "seed": 1}}, "noise delta"),
     ({"noise": {"delta": 0.01, "seed": -5}}, "noise seed"),
     ({"output_dir": 5}, "output_dir"),
+    ({"output_dir": ""}, "output_dir"),
     ({"mode": "exact"}, "mode"),
     ({"directions": {"count": 10 ** 9}}, "directions.count"),
     ({"band": {"k_max": 1e9, "count": 18}}, "band.k_max"),
@@ -150,10 +153,11 @@ def _config3d(slices, axis=None):
         "trajectory_not_object", "one_element_interval",
         "fractional_direction_count", "top_level_list",
         "slice_not_object", "slice_without_axis", "fractional_slice_axis",
+        "slice_axis_out_of_range", "slice_offset_outside_grid",
         "axis_object", "offset_object", "center_object", "times_object",
         "points_object", "count_beyond_float", "nan_noise_delta",
         "infinite_noise_delta", "negative_noise_delta", "negative_noise_seed",
-        "output_dir_number", "unknown_mode", "huge_direction_count",
+        "output_dir_number", "empty_output_dir", "unknown_mode", "huge_direction_count",
         "huge_k_max", "huge_speed"])
 def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
                                              field):
@@ -536,9 +540,13 @@ def test_compare_rejects_nan_field(tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("margin", ["inf", "nan", "-0.1"])
-def test_compare_rejects_bad_margin(tmp_path, capsys, margin):
-    path = _base_config(tmp_path)
+@pytest.mark.parametrize("margin, angles", [
+    ("inf", [PI / 2]), ("nan", [PI / 2]), ("-0.1", [PI / 2]),
+    # no strip is scored, so no metric would see the margin
+    ("nan", [3 * PI / 2]), ("-5", [3 * PI / 2]),
+], ids=["inf", "nan", "-0.1", "non_observable_nan", "non_observable_-5"])
+def test_compare_rejects_bad_margin(tmp_path, capsys, margin, angles):
+    path = _base_config(tmp_path, directions={"angles": angles})
     cfg = cli.load_config(path)
     field_path = tmp_path / "field.csv"
     m.write_field_csv(field_path, m.ScalarField(cfg.grid,
@@ -546,7 +554,7 @@ def test_compare_rejects_bad_margin(tmp_path, capsys, margin):
     report = tmp_path / "metrics.json"
     assert _run("compare", "--config", path, "--field", field_path,
                 "--margin", margin, "--out", report) == 2
-    assert "margin" in capsys.readouterr().err
+    assert "--margin" in capsys.readouterr().err
     assert not report.exists()
 
 

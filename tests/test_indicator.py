@@ -39,7 +39,7 @@ def test_test_vector_first_entry(default_band):
     phi = m.test_vector(d, (0.0, 5.0), interval, default_band)
     tau1 = math.pi / 6
     want = (1j / (2 * tau1)) * (np.exp(-3j * tau1) - np.exp(-1j * tau1))
-    assert phi.entries[0] == pytest.approx(want, abs=1e-14)
+    assert phi[0] == pytest.approx(want, abs=1e-14)
 
 
 def test_test_vector_matches_direct_formula(default_band):
@@ -48,7 +48,7 @@ def test_test_vector_matches_direct_formula(default_band):
     for _ in range(25):
         d = m.Direction.from_angle(float(rng.uniform(0, TWO_PI)))
         y = rng.uniform(-3, 3, 2)
-        got = m.test_vector(d, y, interval, default_band).entries
+        got = m.test_vector(d, y, interval, default_band)
         assert_allclose(got, _direct_entries(d, y, interval, default_band),
                         atol=1e-13)
 
@@ -61,7 +61,7 @@ def test_test_vector_modulus_bounded(default_band):
         d = m.Direction.from_angle(float(rng.uniform(0, TWO_PI)))
         y = rng.uniform(-5, 5, 2)
         phi = m.test_vector(d, y, interval, default_band)
-        assert np.all(np.abs(phi.entries) <= 1.0 + 1e-12)
+        assert np.all(np.abs(phi) <= 1.0 + 1e-12)
 
 
 def test_test_vector_small_node_limit():
@@ -70,7 +70,7 @@ def test_test_vector_small_node_limit():
     band = m.FrequencyBand(1e-12, 1)
     phi = m.test_vector(m.Direction.from_angle(0.3), (0.4, -0.2),
                         m.TimeInterval(1, 3), band)
-    assert phi.entries[0] == pytest.approx(1.0, abs=1e-10)
+    assert phi[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_test_vector_hyperplane_shift_bit_identical(default_band):
@@ -78,7 +78,7 @@ def test_test_vector_hyperplane_shift_bit_identical(default_band):
     d = m.Direction.from_angle(0.0)  # x_hat = (1, 0); (0, s) shifts are unseen
     a = m.test_vector(d, (0.7, -1.0), interval, default_band)
     b = m.test_vector(d, (0.7, 4.0), interval, default_band)
-    assert np.array_equal(a.entries, b.entries)
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,6 @@ def _samples_from_values(values, band=None):
     return m.FarFieldSamples(m.Direction.from_angle(0.0), band, values)
 
 
-def _operator_from_matrix(matrix):
-    matrix = np.asarray(matrix, dtype=complex)
-    return m.FarFieldOperator(matrix, m.FrequencyBand(1.0, matrix.shape[0]),
-                              m.Direction.from_angle(0.0))
-
-
 # ---------------------------------------------------------------------------
 # Operator assembly
 # ---------------------------------------------------------------------------
@@ -26,16 +20,16 @@ def _operator_from_matrix(matrix):
 def test_build_operator_two_by_two():
     w1, w2 = 1.0 + 2.0j, -0.5 + 0.25j
     samples = _samples_from_values([w1, w2], m.FrequencyBand(2.0, 2))
-    op = m.build_operator(samples)
+    F = m.build_operator(samples)
     dk = 1.0
-    assert_allclose(op.matrix, np.array([[w1, np.conj(w1)], [w2, w1]]) * dk,
+    assert_allclose(F, np.array([[w1, np.conj(w1)], [w2, w1]]) * dk,
                     atol=0)
 
 
 def test_build_operator_exactly_toeplitz(vertical_line, default_band):
     samples = m.sample_band(vertical_line, m.Direction.from_angle(1.0),
                             default_band)
-    F = m.build_operator(samples).matrix
+    F = m.build_operator(samples)
     n = F.shape[0]
     # every diagonal is constant bit-for-bit
     for d in range(-(n - 1), n):
@@ -45,8 +39,8 @@ def test_build_operator_exactly_toeplitz(vertical_line, default_band):
 
 
 def test_build_operator_zero_samples():
-    op = m.build_operator(_samples_from_values(np.zeros(5)))
-    assert np.all(op.matrix == 0)
+    F = m.build_operator(_samples_from_values(np.zeros(5)))
+    assert np.all(F == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +98,9 @@ def test_hermitian_abs_rejects_non_hermitian():
 # ---------------------------------------------------------------------------
 
 def test_spectrum_scalar_both_modes():
-    op = _operator_from_matrix([[3.0 - 4.0j]])
+    F = np.array([[3.0 - 4.0j]])
     for mode in (m.MODE_RIGOROUS, m.MODE_PAPER):
-        spec = m.f_sharp_spectrum(op, mode)
+        spec = m.f_sharp_spectrum(F, mode)
         assert spec.eigenvalues[0] == pytest.approx(7.0, abs=1e-14)
         assert_allclose(np.abs(spec.eigenvectors), [[1.0]], atol=1e-14)
 
@@ -114,8 +108,7 @@ def test_spectrum_scalar_both_modes():
 def test_rigorous_positive_and_trace_identity():
     rng = np.random.default_rng(9)
     F = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    op = _operator_from_matrix(F)
-    spec = m.f_sharp_spectrum(op)
+    spec = m.f_sharp_spectrum(F)
     re, im = m.hermitian_parts(F)
     f_sharp = m.hermitian_abs(re) + m.hermitian_abs(im)
     assert np.all(spec.eigenvalues >= -1e-12 * spec.eigenvalues[0])
@@ -138,22 +131,22 @@ def test_rigorous_spectrum_regression(vertical_line, default_band):
 
 
 def test_paper_mode_defective_matrix_raises():
-    op = _operator_from_matrix([[0.0, 1.0], [0.0, 0.0]])
+    F = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(m.DiagonalizationError, match="paper"):
-        m.f_sharp_spectrum(op, m.MODE_PAPER)
+        m.f_sharp_spectrum(F, m.MODE_PAPER)
 
 
 def test_unknown_mode_rejected():
-    op = _operator_from_matrix([[1.0]])
+    F = np.array([[1.0]], dtype=complex)
     with pytest.raises(ValueError):
-        m.f_sharp_spectrum(op, "fancy")
+        m.f_sharp_spectrum(F, "fancy")
 
 
 def test_static_source_rank_collapse(default_band):
     # a source that never moves: the operator matrix is numerically low rank
     static = m.PiecewiseLinear([1.0, 3.0], [(0.5, 0.25), (0.5, 0.25)])
     samples = m.sample_band(static, m.Direction.from_angle(0.7), default_band)
-    sv = np.linalg.svd(m.build_operator(samples).matrix, compute_uv=False)
+    sv = np.linalg.svd(m.build_operator(samples), compute_uv=False)
     n = default_band.n
     cutoff = math.ceil(n / 2)
     assert np.all(sv[cutoff:] < 1e-6 * sv[0])

@@ -17,55 +17,46 @@ TWO_PI = 2 * math.pi
 # ---------------------------------------------------------------------------
 
 def test_position_line(vertical_line):
-    assert_allclose(m.eval_position(vertical_line, 2.0), [0.0, 2.0], atol=1e-15)
+    assert_allclose(vertical_line.positions([2.0]), [[0.0, 2.0]], atol=1e-15)
 
 
 def test_position_arc():
     arc = m.Arc(center=(1, 2), interval=m.TimeInterval(math.pi, TWO_PI))
-    assert_allclose(m.eval_position(arc, math.pi), [0.0, 2.0], atol=1e-15)
+    assert_allclose(arc.positions([math.pi]), [[0.0, 2.0]], atol=1e-15)
 
 
 def test_position_piecewise(broken_line):
-    assert_allclose(m.eval_position(broken_line, 1.0), [2.0, 2.0], atol=1e-15)
-    assert_allclose(m.eval_position(broken_line, 0.5), [2.5, 2.5], atol=1e-15)
-
-
-def test_position_outside_interval(vertical_line):
-    with pytest.raises(ValueError):
-        m.eval_position(vertical_line, 0.5)
-    with pytest.raises(ValueError):
-        m.eval_velocity(vertical_line, 3.5)
-
-
-def test_velocity_line(fast_diagonal):
-    v = 2 * math.sqrt(2)
-    for t in (1.0, 1.3, 2.0):
-        assert_allclose(m.eval_velocity(fast_diagonal, t), [v, v], atol=1e-14)
-
-
-def test_velocity_arc():
-    arc = m.Arc(center=(0, 0), interval=m.TimeInterval(0, math.pi))
-    assert_allclose(m.eval_velocity(arc, 0.0), [0.0, 1.0], atol=1e-15)
+    assert_allclose(broken_line.positions([1.0, 0.5]),
+                    [[2.0, 2.0], [2.5, 2.5]], atol=1e-15)
 
 
 def test_velocity_piecewise_sides(broken_line):
-    assert_allclose(m.eval_velocity(broken_line, 1.5), [1.0, -1.0], atol=1e-15)
-    # breakpoint: right derivative by default, left on request, and the
-    # breakpoint itself is reported
-    assert_allclose(m.eval_velocity(broken_line, 1.0), [1.0, -1.0], atol=1e-15)
-    assert_allclose(m.eval_velocity(broken_line, 1.0, side="left"),
-                    [-1.0, -1.0], atol=1e-15)
+    # one velocity per segment: the left and right sides of the breakpoint
+    assert_allclose(broken_line.velocities(), [[-1.0, -1.0], [1.0, -1.0]],
+                    atol=1e-15)
     assert_allclose(broken_line.breakpoints(), [1.0])
+
+
+def test_speed_bound(vertical_line, fast_diagonal, wide_clockwise_arc,
+                     broken_line):
+    assert vertical_line.speed_bound() == 1.0
+    assert fast_diagonal.speed_bound() == 4.0
+    assert wide_clockwise_arc.speed_bound() == 2 * math.sqrt(2)
+    # the largest segment speed; both segments of broken_line have sqrt 2
+    assert broken_line.speed_bound() == pytest.approx(math.sqrt(2), abs=1e-15)
+    sampled = m.Sampled([0.0, 1.0, 1.5, 3.0],
+                        [(0, 0), (3, 4), (3, 4.5), (3, 4.5)])
+    assert sampled.speed_bound() == pytest.approx(5.0, abs=1e-15)
 
 
 def test_sampled_matches_table():
     ts = np.linspace(0.5, 2.5, 501)
     pts = np.stack([np.cos(ts), np.sin(ts)], axis=1)
     traj = m.Sampled(ts, pts)
-    assert_allclose(m.eval_position(traj, float(ts[17])), pts[17], atol=1e-15)
     mid = 0.5 * (ts[3] + ts[4])
-    assert_allclose(m.eval_position(traj, float(mid)),
-                    0.5 * (pts[3] + pts[4]), atol=1e-14)
+    got = traj.positions([float(ts[17]), float(mid)])
+    assert_allclose(got[0], pts[17], atol=1e-15)
+    assert_allclose(got[1], 0.5 * (pts[3] + pts[4]), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -77,23 +68,15 @@ def test_h_vertical_line_side_view(vertical_line):
     d = m.Direction.from_angle(0.0)
     ts = np.array([1.0, 1.7, 2.9])
     assert_allclose(m.h_values(vertical_line, d, ts), ts, rtol=0, atol=1e-14)
-    for t in ts:
-        assert m.h_derivative(vertical_line, d, t) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 8, math.pi / 2, 3 * math.pi / 4])
 def test_h_derivative_axis_line_3d(axis_line_3d, theta):
+    # h is affine on a line, so its difference quotient is h' = 1 + cos theta
     d = m.Direction.from_angles(theta, 0.7)
     expect = 1.0 + math.cos(theta)
-    assert m.h_derivative(axis_line_3d, d, 0.5) == pytest.approx(expect, abs=1e-14)
-
-
-def test_h_derivative_wide_arc(wide_clockwise_arc):
-    # h'(t) = 1 - 2 sqrt2 sin t for x_hat = (1, 0); negative at t = pi/2
-    d = m.Direction.from_angle(0.0)
-    got = m.h_derivative(wide_clockwise_arc, d, math.pi / 2)
-    assert got == pytest.approx(1 - 2 * math.sqrt(2), abs=1e-14)
-    assert got < 0
+    h = m.h_values(axis_line_3d, d, [0.25, 0.75])
+    assert (h[1] - h[0]) / 0.5 == pytest.approx(expect, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +314,7 @@ def test_strip_degenerate_on_observability_edge(fast_diagonal):
 def test_strip_empty_for_non_observable(broken_line):
     s = m.strip(broken_line, m.Direction.from_angle(math.pi / 2))
     assert s.empty
-    assert not s.contains((2.0, 2.0))
+    assert not s.contains_many([(2.0, 2.0)]).any()
 
 
 def test_projection_hull(wide_clockwise_arc, vertical_line, upper_arc):
@@ -350,8 +333,7 @@ def test_theta_domain_membership(vertical_line):
     dirs = [m.Direction.from_angle(0.0), m.Direction.from_angle(math.pi / 2)]
     dom = m.theta_domain(vertical_line, dirs)
     assert len(dom.strips) == 2
-    assert dom.contains((0.0, 2.0))
-    assert not dom.contains((1.0, 2.0))
+    assert list(dom.contains_many([(0.0, 2.0), (1.0, 2.0)])) == [True, False]
 
 
 def test_theta_domain_single_direction(vertical_line):
@@ -365,7 +347,7 @@ def test_theta_domain_single_direction(vertical_line):
 def test_theta_domain_all_non_observable(broken_line):
     dom = m.theta_domain(broken_line, [m.Direction.from_angle(math.pi / 4)])
     assert dom.empty
-    assert not dom.contains((2.5, 2.5))
+    assert not dom.contains_many([(2.5, 2.5)]).any()
 
 
 def test_theta_domain_requires_directions(vertical_line):
