@@ -5,8 +5,8 @@ from .forward import (FarFieldSamples, FrequencyBand, NoiseSpec,
                       far_field_value, read_farfield_csv, sample_band,
                       write_farfield_csv)
 from .imaging import (ScalarField, SearchGrid, SliceSpec, contrast_metric,
-                      make_grid, mask_strip, mask_theta, read_field_csv,
-                      slice_grid, write_field_csv, write_mask_csv, write_pgm)
+                      make_grid, mask_strip, read_field_csv, slice_grid,
+                      write_field_csv, write_pgm)
 from .indicator import (DEFAULT_THRESHOLD, PicardResult, combine_directions,
                         direction_filter, filtered_field_values,
                         indicator_multi, indicator_single, picard_sum,

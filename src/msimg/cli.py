@@ -457,36 +457,48 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
     return 0
 
 
+def _score(fld: ScalarField, mask: np.ndarray, argmax: int,
+           margin: float) -> dict:
+    """contrast_metric and argmax_in_mask of a mask that is neither empty
+    nor full, with a non-finite metric as None (JSON null); {} otherwise."""
+    if not mask.any() or mask.all():
+        return {}
+    entry = {k: v if math.isfinite(v) else None
+             for k, v in imaging.contrast_metric(fld, mask, margin).items()}
+    entry["argmax_in_mask"] = bool(mask[argmax])
+    return entry
+
+
 def cmd_compare(config: ExperimentConfig, field_path, out_file,
                 margin: float = 0.25) -> int:
-    """Metrics of a field CSV against the analytic strip/intersection masks."""
+    """Metrics of a field CSV against each direction's strip mask and the
+    Theta-domain, the AND of the nonempty strip masks."""
+    if config.grid.dim != 2:
+        raise ValidationError("compare scores 2D grids only; the slice "
+                              "fields of a 3D grid are not scored")
     if not Path(field_path).is_file():
         raise ValidationError(f"missing field file {field_path}")
     fld = imaging.read_field_csv(field_path, config.grid)
     argmax = int(np.argmax(fld.values))
-    report = {"directions": [], "theta_domain": None}
+    entries, n_strips = [], 0
+    domain = np.ones(config.grid.size, dtype=bool)
     for j, d in enumerate(config.directions, start=1):
         s = traj_mod.strip(config.trajectory, d)
         entry = {"index": j, "observable": not s.empty}
         if s.empty:
             entry["strip_empty"] = True
         else:
-            entry["strip_lo"] = s.lo
-            entry["strip_hi"] = s.hi
             mask = imaging.mask_strip(config.grid, s)
-            if mask.any() and not mask.all():
-                entry.update(imaging.contrast_metric(fld, mask, margin))
-                entry["argmax_in_mask"] = bool(mask[argmax])
-        report["directions"].append(entry)
-    dom = traj_mod.theta_domain(config.trajectory, config.directions)
-    if not dom.empty:
-        mask = imaging.mask_theta(config.grid, dom)
-        entry = {"n_strips": len(dom.strips)}
-        if mask.any() and not mask.all():
-            entry.update(imaging.contrast_metric(fld, mask, margin))
-            entry["argmax_in_mask"] = bool(mask[argmax])
-        report["theta_domain"] = entry
-    text = json.dumps(report, indent=2, sort_keys=True)
+            domain &= mask
+            n_strips += 1
+            entry.update(strip_lo=s.lo, strip_hi=s.hi,
+                         **_score(fld, mask, argmax, margin))
+        entries.append(entry)
+    report = {"directions": entries, "theta_domain": None}
+    if n_strips:
+        report["theta_domain"] = {"n_strips": n_strips,
+                                  **_score(fld, domain, argmax, margin)}
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_file:
         Path(out_file).write_text(text + "\n", encoding="utf-8")
     else:

@@ -143,8 +143,7 @@ def _phase_integral(traj: Trajectory, direction: Direction, k: float,
     """
     iv = traj.interval
     rate = abs(k) * (1.0 + traj.speed_bound()) / (2.0 * math.pi)  # osc per unit time
-    bks = [float(b) for b in traj.breakpoints() if iv.t_min < b < iv.t_max]
-    bounds = [iv.t_min, *bks, iv.t_max]
+    bounds = [iv.t_min, *traj.breakpoints().tolist(), iv.t_max]
     gl_nodes, gl_weights = _gauss_legendre()
     total = 0.0 + 0.0j
     for a, b in zip(bounds[:-1], bounds[1:]):

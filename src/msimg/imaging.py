@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import Strip, ThetaDomain
+from .trajectory import Strip
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +126,6 @@ def mask_strip(grid: SearchGrid, s: Strip) -> np.ndarray:
     return s.contains_many(grid.points())
 
 
-def mask_theta(grid: SearchGrid, domain: ThetaDomain) -> np.ndarray:
-    """Boolean membership in the strip intersection (all False when empty)."""
-    return domain.contains_many(grid.points())
-
-
 def _within_margin(mask: np.ndarray, spacing, margin: float) -> np.ndarray:
     """Lattice points with a `mask` point at most `margin` away.
 
@@ -240,11 +235,6 @@ def write_field_csv(path, fld: ScalarField) -> None:
             _g17.cells(values[start:start + k].ravel(), rows[:k * n_last])
             block = raw if k == lines else raw[:k * n_last * width]
             f.write(block.translate(None, b"\0"))
-
-
-def write_mask_csv(path, grid: SearchGrid, mask: np.ndarray) -> None:
-    """A boolean mask as a 0/1 field CSV (`.17g` writes 1.0 as `1`)."""
-    write_field_csv(path, ScalarField(grid, np.asarray(mask, dtype=float)))
 
 
 def read_field_csv(path, grid: SearchGrid) -> ScalarField:

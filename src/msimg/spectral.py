@@ -75,8 +75,7 @@ class Spectrum:
         lambda are the floored eigenvalues, V the eigenvectors and w the
         test-vector weights band_weights(interval, band).  G is built on
         the first call with a value-equal (interval, band) and kept,
-        read-only, with the spectrum.  Threads that race on a new pair
-        build equal arrays.
+        read-only, with the spectrum.
         """
         key = (interval, band)
         G = self._operators.get(key)

@@ -88,14 +88,6 @@ class Direction:
         v = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
         return cls(v, theta=theta, phi=phi)
 
-    @classmethod
-    def from_vector(cls, v) -> "Direction":
-        v = np.asarray(v, dtype=float)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v / n)
-
     def __repr__(self):
         return f"Direction({np.array2string(self.vec, precision=6)})"
 
@@ -284,23 +276,22 @@ def _sign3(x: float) -> int:
     return 0
 
 
-def _arc_critical_times(traj: Arc, direction: Direction, with_time_term: bool):
-    """Closed-form interior roots of h' (or of the projection derivative)."""
+def _arc_critical_times(traj: Arc, direction: Direction, c: float):
+    """Closed-form interior roots of c + d/dt x_hat . a(t), c in {0, 1}.
+
+    With the phase argument u(t) = s*t + phase - theta, d/dt x_hat . a =
+    -s*r*sin(u), so the roots lie where sin(u) = s*c/r: the turning times
+    of h for c = 1 (real only for r >= 1), of the projection for c = 0.
+    """
+    if traj.radius < c:
+        return []
     theta = math.atan2(direction.vec[1], direction.vec[0])
     s = traj.orientation
     iv = traj.interval
-    # phase argument u(t) = s*t + phase - theta;  d/dt x_hat.a = -s*r*sin(u)
-    roots_u: list[float] = []
-    if with_time_term:
-        # h' = 1 - s*r*sin(u) = 0  =>  sin(u) = s / r  (needs r >= 1)
-        if traj.radius >= 1.0:
-            base = math.asin(s / traj.radius)
-            roots_u = [base, math.pi - base]
-    else:
-        roots_u = [0.0, math.pi]
+    base = math.asin(s * c / traj.radius)
     out = []
     span = iv.t_max - iv.t_min
-    for u0 in roots_u:
+    for u0 in (base, math.pi - base):
         # t = s * (u0 + 2 pi n + theta - phase); enumerate n covering interval
         n_center = (s * iv.midpoint - theta + traj.phase - u0) / TWO_PI
         for n in range(int(math.floor(n_center - span / TWO_PI) - 1),
@@ -312,16 +303,15 @@ def _arc_critical_times(traj: Arc, direction: Direction, with_time_term: bool):
 
 
 def _critical_times(traj: Trajectory, direction: Direction,
-                    with_time_term: bool) -> list[float]:
-    """Interior times where h (or x_hat . a) can have an extremum.
+                    c: float) -> list[float]:
+    """Interior times where c*t + x_hat . a(t) can have an extremum.
 
-    Both are affine on a Line, affine between the vertices of a polyline
-    and sinusoidal, with closed-form turning points, on an Arc.
+    It is affine on a Line (no breakpoints), affine between the vertices
+    of a polyline and sinusoidal, with closed-form turning points, on an
+    Arc.
     """
-    if isinstance(traj, Line):
-        return []
     if isinstance(traj, Arc):
-        return _arc_critical_times(traj, direction, with_time_term)
+        return _arc_critical_times(traj, direction, c)
     return [float(b) for b in traj.breakpoints()]
 
 
@@ -344,19 +334,19 @@ def division_points(traj: Trajectory, direction: Direction) -> list[float]:
     if isinstance(traj, Arc):
         if _sign3(1.0 - traj.radius) >= 0:
             return []
-        return sorted(_arc_critical_times(traj, direction, with_time_term=True))
+        return sorted(_arc_critical_times(traj, direction, 1.0))
     signs = [_sign3(s) for s in 1.0 + traj.velocities() @ direction.vec]
     return [float(traj.times[i]) for i in range(1, len(signs))
             if signs[i - 1] != signs[i]]
 
 
-def _range_of(traj: Trajectory, direction: Direction, with_time_term: bool):
-    """Exact range of h (or of x_hat . a) over the interval."""
+def _range_of(traj: Trajectory, direction: Direction, c: float):
+    """Exact range of c*t + x_hat . a(t) over the interval, c in {0, 1}:
+    of h for c = 1, of the projection x_hat . a for c = 0."""
     _check_dims(traj, direction)
     iv = traj.interval
-    ts = np.array([iv.t_min, iv.t_max,
-                   *_critical_times(traj, direction, with_time_term)])
-    vals = (h_values(traj, direction, ts) if with_time_term
+    ts = np.array([iv.t_min, iv.t_max, *_critical_times(traj, direction, c)])
+    vals = (h_values(traj, direction, ts) if c
             else traj.positions(ts) @ direction.vec)
     return float(np.min(vals)), float(np.max(vals))
 
@@ -383,7 +373,7 @@ def xi_extrema(traj: Trajectory, direction: Direction) -> ObservabilityReport:
     h), at the vertices of a polyline (piecewise affine h), and at the
     closed-form roots of h' for an Arc.
     """
-    lo, hi = _range_of(traj, direction, with_time_term=True)
+    lo, hi = _range_of(traj, direction, 1.0)
     T = traj.interval.duration
     return ObservabilityReport(lo, hi, T, hi - lo >= T - CLASSIFICATION_TOL)
 
@@ -395,7 +385,7 @@ def classify(traj: Trajectory, direction: Direction) -> bool:
 
 def projection_hull(traj: Trajectory, direction: Direction) -> tuple[float, float]:
     """Range [inf, sup] of x_hat . a(t): the smallest slab holding the orbit."""
-    return _range_of(traj, direction, with_time_term=False)
+    return _range_of(traj, direction, 0.0)
 
 
 # ---------------------------------------------------------------------------

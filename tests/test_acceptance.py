@@ -262,7 +262,7 @@ def test_c08_intersection_domain(slow_line, slow_grid, band):
                                          slow_line.interval, band)
     assert kept == [0, 1]
     domain = m.theta_domain(slow_line, dirs)
-    mask = m.mask_theta(slow_grid, domain)
+    mask = domain.contains_many(pts)
     half = vals >= 0.5 * vals.max()
     assert not (mask & ~half).any(), \
         "some cells of the analytic intersection fall below half-maximum"

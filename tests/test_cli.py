@@ -578,6 +578,101 @@ def test_compare_missing_field_file(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_compare_theta_domain_is_strip_conjunction(tmp_path):
+    # three observable directions and a non-observable one (empty strip)
+    path = _base_config(tmp_path, directions={
+        "angles": [PI / 3, PI / 2, 2 * PI / 3, 5 * PI / 4]})
+    cfg = cli.load_config(path)
+    fld = m.ScalarField(cfg.grid,
+                        np.random.default_rng(3).uniform(size=cfg.grid.size))
+    field_path = tmp_path / "field.csv"
+    m.write_field_csv(field_path, fld)
+    out = tmp_path / "metrics.json"
+    assert _run("compare", "--config", path, "--field", field_path,
+                "--out", out) == 0
+    want = np.ones(cfg.grid.size, dtype=bool)
+    for d in cfg.directions[:3]:
+        want &= m.mask_strip(cfg.grid, m.strip(cfg.trajectory, d))
+    assert want.any() and not want.all()
+    expected = {"n_strips": 3,
+                "argmax_in_mask": bool(want[np.argmax(fld.values)]),
+                **m.contrast_metric(fld, want, 0.25)}
+    assert json.loads(out.read_text())["theta_domain"] == expected
+
+
+def test_compare_writes_non_finite_metrics_as_null(tmp_path):
+    # the field is 1 on direction 1's strip (the line x = 0) and 0
+    # elsewhere, so every outside median is 0 and every ratio infinite
+    root = Path(__file__).resolve().parents[1] / "configs"
+    raw = json.loads((root / "line_slow_observable.json").read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    cfg = cli.load_config(path)
+    mask = m.mask_strip(cfg.grid, m.strip(cfg.trajectory, cfg.directions[0]))
+    field_path = tmp_path / "field.csv"
+    m.write_field_csv(field_path, m.ScalarField(cfg.grid, mask.astype(float)))
+    out = tmp_path / "metrics.json"
+    assert _run("compare", "--config", path, "--field", field_path,
+                "--out", out) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    rep = json.loads(out.read_text(), parse_constant=refuse)
+    scored = [e for e in rep["directions"] + [rep["theta_domain"]]
+              if "ratio" in e]
+    assert len(scored) == 7
+    for entry in scored:
+        assert entry["ratio"] is None
+        assert entry["outside_median"] == 0.0
+
+
+def test_compare_refuses_3d_config(tmp_path, capsys):
+    path = _base_config(tmp_path, **_config3d([{"axis": 0, "offset": 0.0}]))
+    cfg = cli.load_config(path)
+    g2, _, _ = m.slice_grid(cfg.grid, cfg.slices[0])
+    field_path = tmp_path / "field_1_slice1.csv"
+    m.write_field_csv(field_path, m.ScalarField(g2, np.ones(g2.size)))
+    report = tmp_path / "metrics.json"
+    assert _run("compare", "--config", path, "--field", field_path,
+                "--out", report) == 2
+    assert "compare scores 2D grids only" in capsys.readouterr().err
+    assert not report.exists()
+
+
+_FIELD_CORRUPTIONS = {
+    "missing": None,
+    "empty": "",
+    "header only": "x1,x2,w\n",
+    "row dropped": lambda rows: rows[:-1],
+    "column dropped": lambda rows: [r.rsplit(",", 1)[0] for r in rows],
+    "nan": lambda rows: rows[:5] + [rows[5].rsplit(",", 1)[0] + ",nan"]
+    + rows[6:],
+    "text": lambda rows: rows[:5] + ["x,y,z"] + rows[6:],
+    "shifted x1": lambda rows: rows[:5] + [
+        "{:.17g},{}".format(float(rows[5].split(",", 1)[0]) + 0.05,
+                            rows[5].split(",", 1)[1])] + rows[6:],
+    "not utf-8": b"x1,x2,w\n\xff\xfe,0,1\n",
+}
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+@pytest.mark.parametrize("corruption", sorted(_FIELD_CORRUPTIONS))
+def test_compare_contract_on_corrupt_field(tmp_path, corruption):
+    path = _base_config(tmp_path)
+    cfg = cli.load_config(path)
+    root = tmp_path / "run"
+    root.mkdir()
+    field_path = root / "field.csv"
+    m.write_field_csv(field_path, m.ScalarField(
+        cfg.grid, np.random.default_rng(4).uniform(size=cfg.grid.size)))
+    _corrupt(field_path, _FIELD_CORRUPTIONS[corruption])
+    # exit 2 with a message, and no metrics file next to the field
+    assert _assert_contract(root, "compare", "--config", path, "--field",
+                            field_path, "--out", root / "metrics.json") == 2
+
+
 # ---------------------------------------------------------------------------
 # shipped configs
 # ---------------------------------------------------------------------------
@@ -786,6 +881,21 @@ def _assert_contract(root: Path, *argv):
     if code:
         assert err.getvalue().strip()
         assert sorted(root.rglob("*")) == before
+    return code
+
+
+def _corrupt(path: Path, how) -> None:
+    """Delete `path` (how None), overwrite it with bytes or text, or map
+    its lines through `how`."""
+    if how is None:
+        path.unlink()
+    elif isinstance(how, bytes):
+        path.write_bytes(how)
+    elif isinstance(how, str):
+        path.write_text(how)
+    else:
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(how(rows)) + "\n")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -835,16 +945,7 @@ def test_cli_contract_on_corrupt_data(fuzz_data, name, corruption, j):
         data = root / "data"
         shutil.copytree(fuzz_data / name, data)
         count = len(list(data.glob("farfield_[0-9].csv")))
-        target = data / f"farfield_{min(j, count)}.csv"
-        how = _CORRUPTIONS[corruption]
-        if how is None:
-            target.unlink()
-        elif isinstance(how, bytes):
-            target.write_bytes(how)
-        elif isinstance(how, str):
-            target.write_text(how)
-        else:
-            rows = target.read_text().splitlines()
-            target.write_text("\n".join(how(rows)) + "\n")
+        _corrupt(data / f"farfield_{min(j, count)}.csv",
+                 _CORRUPTIONS[corruption])
         _assert_contract(root, "image", "--config", fuzz_data / f"{name}.json",
                          "--data", data, "--out", root / "out")

@@ -113,24 +113,6 @@ def test_mask_empty_strip(broken_line):
     assert not m.mask_strip(grid, s).any()
 
 
-def test_mask_theta_single_strip(vertical_line):
-    grid = m.make_grid([(-2, 2), (0, 4)], (41, 41))
-    d = m.Direction.from_angle(math.pi / 2)
-    dom = m.theta_domain(vertical_line, [d])
-    assert np.array_equal(m.mask_theta(grid, dom),
-                          m.mask_strip(grid, m.strip(vertical_line, d)))
-
-
-def test_mask_theta_is_strip_conjunction(vertical_line):
-    grid = m.make_grid([(-2, 2), (0, 4)], (41, 41))
-    dirs = [m.Direction.from_angle(t) for t in (0.0, math.pi / 3, math.pi / 2)]
-    dom = m.theta_domain(vertical_line, dirs)
-    want = np.ones(grid.size, dtype=bool)
-    for d in dirs:
-        want &= m.mask_strip(grid, m.strip(vertical_line, d))
-    assert np.array_equal(m.mask_theta(grid, dom), want)
-
-
 # ---------------------------------------------------------------------------
 # Contrast metrics and normalization
 # ---------------------------------------------------------------------------
@@ -268,7 +250,8 @@ def test_field_csv_bytes_match_per_row_writer(tmp_path, bounds, resolution):
         (tmp_path / "ref.csv").read_bytes()
 
     mask = rng.uniform(size=grid.size) < 0.4
-    m.write_mask_csv(tmp_path / "mask.csv", grid, mask)
+    m.write_field_csv(tmp_path / "mask.csv",
+                      m.ScalarField(grid, mask.astype(float)))
     _write_csv_per_row(tmp_path / "mask_ref.csv", grid,
                        mask.astype(int), str)
     assert (tmp_path / "mask.csv").read_bytes() == \
@@ -277,14 +260,17 @@ def test_field_csv_bytes_match_per_row_writer(tmp_path, bounds, resolution):
 
 def test_mask_csv_bytes(tmp_path):
     grid2 = m.make_grid([(0, 1), (-1, 1)], (2, 3))
-    m.write_mask_csv(tmp_path / "m2.csv", grid2,
-                     np.array([True, False, True, False, False, True]))
+    mask2 = np.array([True, False, True, False, False, True])
+    m.write_field_csv(tmp_path / "m2.csv",
+                      m.ScalarField(grid2, mask2.astype(float)))
     assert (tmp_path / "m2.csv").read_text() == (
         "x1,x2,w\n"
         "0,-1,1\n0,0,0\n0,1,1\n"
         "1,-1,0\n1,0,0\n1,1,1\n")
     grid3 = m.make_grid([(0, 1), (0, 1), (-0.5, 0.5)], (2, 2, 2))
-    m.write_mask_csv(tmp_path / "m3.csv", grid3, np.arange(8) % 3 == 0)
+    mask3 = np.arange(8) % 3 == 0
+    m.write_field_csv(tmp_path / "m3.csv",
+                      m.ScalarField(grid3, mask3.astype(float)))
     assert (tmp_path / "m3.csv").read_text() == (
         "x1,x2,x3,w\n"
         "0,0,-0.5,1\n0,0,0.5,0\n0,1,-0.5,0\n0,1,0.5,1\n"
