@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -229,10 +230,22 @@ def write_farfield_csv(path, samples: FarFieldSamples) -> None:
             f.write(f"{k:.17g},{w.real:.17g},{w.imag:.17g}\n")
 
 
+def load_csv(path) -> np.ndarray:
+    """The numbers of a comma-separated file after its header line, 2D.
+
+    A file with no data rows gives an empty array for the caller's shape
+    check to refuse, without numpy's warning that it held no data.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def read_farfield_csv(path, direction: Direction,
                       band: FrequencyBand) -> FarFieldSamples:
     """Load samples; the file's frequency grid must match `band`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = load_csv(path)
     if data.shape != (band.n, 3) or not np.allclose(
             data[:, 0], band.midpoints(), atol=1e-9):
         raise ValueError(f"{path}: expected {band.n} rows k,re,im on the "

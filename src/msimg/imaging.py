@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forward import load_csv
 from .trajectory import Strip
 
 
@@ -238,7 +239,7 @@ def write_field_csv(path, fld: ScalarField) -> None:
 
 
 def read_field_csv(path, grid: SearchGrid) -> ScalarField:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = load_csv(path)
     if data.shape != (grid.size, grid.dim + 1):
         raise ValueError(f"{path}: field shape does not match the grid")
     if not np.allclose(data[:, :grid.dim], grid.points(), atol=1e-9):

@@ -15,11 +15,17 @@ grid exceeds a threshold (those behave as non-observable).
 
 Because tau_n = n dk, phi(y) is a geometric sequence in z = e^{-i dk x_hat.y}
 once the point-independent weights sinc(tau_n T / 2) e^{-i tau_n t_mid} are
-split off.  Every indicator folds those weights and lambda_n^{-1/2} into the
-eigenvectors, G = diag(lambda^{-1/2}) V^H diag(weights), once per spectrum,
-interval and band (Spectrum.picard_operator), and evaluates the series as
-||G (z, z^2, ..., z^N)||^2: one matrix-vector product per point, and on a
-grid one exponential per point.  It also shows that the series is a
+split off, and the series is ||G (z, z^2, ..., z^N)||^2 with
+G = diag(lambda^{-1/2}) V^H diag(weights).  Multiplying the vector by the
+unit phase z^{-(N+1)/2} leaves the norm alone and turns the powers into
+the conjugate pairs w_j, conj(w_j) with w_j = z^{j - 1/2}, j = 1..h,
+h = N / 2; odd N gets one zero column of G, which adds exactly 0, and
+h = (N + 1) / 2.  So the series is ||R u||^2 with the real vector
+u = (Re w_1, Im w_1, ..., Re w_h, Im w_h) and the real (2N, 2h) operator R
+that Spectrum.picard_operator folds once per spectrum, interval and band.
+Every indicator evaluates it that way: one real matrix-vector product per
+point, and on a grid one exponential and h complex products per point,
+2 N^2 multiply-adds where the complex G takes 4 N^2.  The series is a
 trigonometric polynomial in x_hat . y with period 2 pi / dk, so a search
 region wider than that along x_hat sees the strip repeated (aliased).
 `test_vector` and `picard_sum` evaluate the series term by term from its
@@ -78,26 +84,29 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
                      band: FrequencyBand) -> np.ndarray:
     """Vectorized Picard sums over many probe points, shape (P,).
 
-    Evaluates ||G (z, z^2, ..., z^N)||^2 with z = e^{-i dk x_hat . y} and
-    G = diag(lambda^{-1/2}) V^H diag(sinc(tau T / 2) e^{-i tau t_mid}), the
-    floored eigenvalues lambda and eigenvectors V of the spectrum.  The
-    powers of z are running products, built per block of POINT_CHUNK
-    points, so memory stays bounded by the block.  The result is periodic
-    in x_hat . y with period 2 pi / dk.
+    Evaluates ||R u||^2 with the folded operator R of the spectrum
+    (Spectrum.picard_operator) and u = (Re w_j, Im w_j)_{j=1..h},
+    w_j = e^{-i (j - 1/2) dk x_hat . y}.  The w_j are running products of
+    w_1 and w_1^2, built per block of POINT_CHUNK points, so memory stays
+    bounded by the block.  The result is periodic in x_hat . y with
+    period 2 pi / dk.
     """
     points = np.asarray(points, dtype=float)
     proj = points @ direction.vec
-    G = spectrum.picard_operator(interval, band)
+    R = spectrum.picard_operator(interval, band)
+    h = R.shape[1] // 2
     sums = np.empty(len(proj))
     for start in range(0, len(proj), POINT_CHUNK):
         block = proj[start:start + POINT_CHUNK]
-        Z = np.empty((band.n, len(block)), dtype=complex)
-        np.exp(-1j * band.dk * block, out=Z[0])
-        for m in range(1, band.n):
-            np.multiply(Z[m - 1], Z[0], out=Z[m])
-        c = G @ Z
-        sums[start:start + len(block)] = (c.real ** 2
-                                          + c.imag ** 2).sum(axis=0)
+        W = np.empty((h, len(block)), dtype=complex)
+        np.exp(-0.5j * band.dk * block, out=W[0])
+        step = W[0] * W[0]
+        for j in range(1, h):
+            np.multiply(W[j - 1], step, out=W[j])
+        U = np.empty((h, 2, len(block)))
+        U[:, 0], U[:, 1] = W.real, W.imag
+        c = R @ U.reshape(2 * h, len(block))
+        np.einsum("ij,ij->j", c, c, out=sums[start:start + len(block)])
     return sums
 
 
@@ -125,25 +134,35 @@ def indicator_multi(spectra, directions, y, interval: TimeInterval,
 
     Callers filter non-observable directions first (see direction_filter);
     passing an empty direction set is an error.  Each direction's series
-    is ||G z||^2 with z_n = e^{-i n dk x_hat . y}, one matrix-vector
-    product with the spectrum's folded operator G.
+    is ||R u||^2, one real matrix-vector product with the spectrum's
+    folded operator R on u = (Re w_j, Im w_j), the real view of
+    w_j = e^{-i (j - 1/2) dk x_hat . y}.
     """
     if len(directions) == 0:
         raise ValueError("no directions left to combine")
     y = np.asarray(y, dtype=float)
-    n = np.arange(1, band.n + 1)
+    half = np.arange(0.5, (band.n + 1) // 2)
     total = 0.0
     for spec, d in zip(spectra, directions):
-        z = np.exp((-1j * band.dk * float(d.vec @ y)) * n)
-        c = spec.picard_operator(interval, band) @ z
-        total += float(np.vdot(c, c).real)
+        w = np.exp((-1j * band.dk * float(d.vec @ y)) * half)
+        # ndarray.dot: less call overhead than @ on vectors this short
+        c = spec.picard_operator(interval, band).dot(w.view(float))
+        total += float(c.dot(c))
     return 1.0 / total if total > 0.0 else float("inf")
 
 
 def indicator_values(sums: np.ndarray) -> np.ndarray:
     """Indicator W = 1 / S of an array of Picard sums S, +inf where S = 0."""
+    return _reciprocal(np.array(sums, dtype=float))
+
+
+def _reciprocal(sums: np.ndarray) -> np.ndarray:
+    """1 / S in place of an owned array of sums S, +inf where S = 0."""
+    zero = ~(sums > 0.0)
     with np.errstate(divide="ignore"):
-        return np.where(sums > 0.0, 1.0 / sums, np.inf)
+        np.divide(1.0, sums, out=sums)
+    sums[zero] = np.inf
+    return sums
 
 
 def combine_directions(grid_sums, threshold: float = DEFAULT_THRESHOLD):
@@ -152,12 +171,16 @@ def combine_directions(grid_sums, threshold: float = DEFAULT_THRESHOLD):
     `grid_sums` holds one Picard-sum array per direction over the whole
     search grid.  Returns (values, kept_indices); `values` is the
     reciprocal of the summed series of the kept directions, or None when
-    the filter drops every direction.
+    the filter drops every direction.  The kept sums are added in kept
+    order into one new array, which then turns into the reciprocal.
     """
     kept = direction_filter(grid_sums, threshold)
     if not kept:
         return None, kept
-    return indicator_values(np.sum([grid_sums[j] for j in kept], axis=0)), kept
+    total = np.array(grid_sums[kept[0]], dtype=float)
+    for j in kept[1:]:
+        total += grid_sums[j]
+    return _reciprocal(total), kept
 
 
 def filtered_field_values(spectra, directions, points: np.ndarray,

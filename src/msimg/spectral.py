@@ -70,21 +70,32 @@ class Spectrum:
 
     def picard_operator(self, interval: TimeInterval,
                         band: FrequencyBand) -> np.ndarray:
-        """G = diag(lambda^{-1/2}) V^H diag(w), the folded Picard operator.
+        """R, the real (2N, 2h) folded Picard operator, h = ceil(N / 2).
 
-        lambda are the floored eigenvalues, V the eigenvectors and w the
-        test-vector weights band_weights(interval, band).  G is built on
-        the first call with a value-equal (interval, band) and kept,
-        read-only, with the spectrum.
+        It folds G = diag(lambda^{-1/2}) V^H diag(w) (lambda the floored
+        eigenvalues, V the eigenvectors, w the test-vector weights
+        band_weights(interval, band)) over its conjugate phase pairs; odd
+        N first gets a zero column N + 1.  Columns n = h + j and
+        h + 1 - j of G meet the conjugate phases w_j and conj(w_j), so
+        G_hi w_j + G_lo conj(w_j) = (G_hi + G_lo) Re w_j
+        + i (G_hi - G_lo) Im w_j.  Column 2j - 2 of M holds G_hi + G_lo
+        and column 2j - 1 holds i (G_hi - G_lo), and R = [Re M; Im M].
+        R is built on the first call with a value-equal (interval, band)
+        and kept, read-only, with the spectrum.
         """
         key = (interval, band)
-        G = self._operators.get(key)
-        if G is None:
+        R = self._operators.get(key)
+        if R is None:
             G = (self.eigenvectors.conj().T * band_weights(interval, band)
                  / np.sqrt(self.floored_eigenvalues())[:, None])
-            G.flags.writeable = False
-            self._operators[key] = G
-        return G
+            h = (G.shape[1] + 1) // 2
+            G = np.pad(G, ((0, 0), (0, 2 * h - G.shape[1])))
+            hi, lo = G[:, h:], G[:, h - 1::-1]
+            M = np.stack((hi + lo, 1j * (hi - lo)), axis=2).reshape(len(G), -1)
+            R = np.vstack((M.real, M.imag))
+            R.flags.writeable = False
+            self._operators[key] = R
+        return R
 
 
 def _read_only(a) -> np.ndarray:

@@ -657,7 +657,6 @@ _FIELD_CORRUPTIONS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")
 @pytest.mark.parametrize("corruption", sorted(_FIELD_CORRUPTIONS))
 def test_compare_contract_on_corrupt_field(tmp_path, corruption):
     path = _base_config(tmp_path)
@@ -671,6 +670,32 @@ def test_compare_contract_on_corrupt_field(tmp_path, corruption):
     # exit 2 with a message, and no metrics file next to the field
     assert _assert_contract(root, "compare", "--config", path, "--field",
                             field_path, "--out", root / "metrics.json") == 2
+
+
+@pytest.mark.parametrize("command", ["compare", "image"])
+def test_empty_csv_refusal_is_the_only_stderr_line(tmp_path, command):
+    # a header-only field CSV and an empty far-field CSV are refused with
+    # the CLI's one error line; numpy's "input contained no data" warning
+    # (with its source path) must not reach stderr as well
+    path = _base_config(tmp_path)
+    if command == "compare":
+        target = tmp_path / "field.csv"
+        target.write_text("x1,x2,w\n")
+        argv = ["--field", target, "--out", tmp_path / "metrics.json"]
+    else:
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "farfield_1.csv").write_text("")
+        argv = ["--data", data, "--out", tmp_path / "image"]
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(m.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-m", "msimg.cli", command,
+                          "--config", str(path), *map(str, argv)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,30 @@ def test_picard_sums_grid_split_at_chunks_bit_identical(vertical_line,
         assert np.array_equal(part, full[a:b])
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40),
+       mode=st.sampled_from([m.MODE_RIGOROUS, m.MODE_PAPER]),
+       theta=st.floats(0.0, 2 * math.pi),
+       offsets=st.lists(st.tuples(st.floats(-30.0, 30.0),
+                                  st.floats(-5.0, 5.0)),
+                        min_size=1, max_size=4))
+def test_folded_kernel_matches_picard_sum(n, mode, theta, offsets):
+    # the fold pairs columns n and N + 1 - n of G (odd N through a zero
+    # column); points move across the strip (x_hat . y) and along it
+    band = m.FrequencyBand(3 * math.pi, n)
+    spec, d = _spectrum_for(_LINE_2D, theta, band, mode)
+    iv = _LINE_2D.interval
+    normal = np.array([-d.vec[1], d.vec[0]])
+    pts = np.array([a * d.vec + b * normal for a, b in offsets])
+    got = m.picard_sums_grid(spec, d, pts, iv, band)
+    for g, p in zip(got, pts):
+        want = m.picard_sum(spec, m.test_vector(d, p, iv, band))
+        bound = _rounding_bound(spec, want, band, iv, float(d.vec @ p))
+        assert abs(g - want.total) <= max(1e-9 * want.total, bound)
+        single = 1.0 / m.indicator_single(spec, d, p, iv, band)
+        assert abs(single - want.total) <= max(1e-10 * want.total, bound)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(theta=st.floats(0.0, 2 * math.pi), proj=st.floats(-6.0, 6.0),
        normal=st.floats(-3.0, 3.0))
@@ -256,6 +280,21 @@ def test_combine_directions_reciprocal_of_kept_sum():
     vals, kept = m.combine_directions(sums, 3.5e3)
     assert kept == [0, 2]
     assert np.array_equal(vals, [np.inf, 0.5, 0.25])
+
+
+def test_combine_directions_bit_identical_to_stacked_sum():
+    # adding the kept sums one by one into one array is the stacked axis-0
+    # sum, bit for bit, so combined fields keep their bytes
+    rng = np.random.default_rng(13)
+    for k in range(1, 10):
+        sums = [rng.uniform(0.0, 4.0, 1000) ** rng.uniform(1, 8)
+                for _ in range(k)]
+        sums[0][:3] = 0.0
+        vals, kept = m.combine_directions(sums, np.inf)
+        with np.errstate(divide="ignore"):
+            want = 1.0 / np.sum(sums, axis=0)
+        assert kept == list(range(k))
+        assert np.array_equal(vals, want)
 
 
 def test_filter_mixed_run(vertical_line, default_band):
