@@ -14,6 +14,7 @@ import math
 import numbers
 import os
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -423,7 +424,13 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
     else:
         planes = []
         for i, spec in enumerate(config.slices, start=1):
-            g2, pts3, _ = imaging.slice_grid(config.grid, spec)
+            # the library warns of a snapped offset; the CLI says it once,
+            # as its own warning line without a source location
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g2, pts3, _ = imaging.slice_grid(config.grid, spec)
+            for w in caught:
+                print(f"warning: {w.message} (slice {i})", file=sys.stderr)
             planes.append((g2, pts3, f"_slice{i}"))
     _warn_aliasing(directions, planes, band)
 

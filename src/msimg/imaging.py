@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import load_csv
 from .trajectory import Strip
 
 
@@ -194,9 +193,14 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
 FIELD_BLOCK = 2048
 
 
+def _axis_texts(axis: np.ndarray) -> list[bytes]:
+    """`.17g,` text of each axis value: a field CSV row's coordinate cells."""
+    return [f"{c:.17g},".encode() for c in axis.tolist()]
+
+
 def _axis_cells(axis: np.ndarray) -> np.ndarray:
-    """`.17g,` text of each axis value, left-aligned and NUL-padded."""
-    texts = [f"{c:.17g},".encode() for c in axis.tolist()]
+    """`_axis_texts` of an axis, left-aligned and NUL-padded."""
+    texts = _axis_texts(axis)
     w = max(map(len, texts))
     return np.frombuffer(b"".join(t.ljust(w, b"\0") for t in texts),
                          np.uint8).reshape(len(texts), w)
@@ -239,12 +243,30 @@ def write_field_csv(path, fld: ScalarField) -> None:
 
 
 def read_field_csv(path, grid: SearchGrid) -> ScalarField:
-    data = load_csv(path)
-    if data.shape != (grid.size, grid.dim + 1):
-        raise ValueError(f"{path}: field shape does not match the grid")
-    if not np.allclose(data[:, :grid.dim], grid.points(), atol=1e-9):
-        raise ValueError(f"{path}: lattice points do not match the grid")
-    return ScalarField(grid, data[:, -1])
+    """A field CSV of `grid` as write_field_csv writes it.
+
+    After the header line, row r must start with the `_axis_texts` of
+    lattice point r, byte for byte, and hold one value after them; only
+    the values are parsed.  Rows are read one at a time.
+    """
+    values = np.empty(grid.size)
+    r = -1
+    with open(path, "rb") as f:
+        f.readline()
+        points = map(b"".join, itertools.product(*map(_axis_texts,
+                                                       grid.axes())))
+        for r, (coords, row) in enumerate(zip(points, f)):
+            if not row.startswith(coords):
+                raise ValueError(f"{path}: lattice points do not match the "
+                                 "grid")
+            try:
+                values[r] = float(row[len(coords):])
+            except ValueError:
+                raise ValueError(f"{path}: a field value is not a number") \
+                    from None
+        if r + 1 != grid.size or f.readline():
+            raise ValueError(f"{path}: field shape does not match the grid")
+    return ScalarField(grid, values)
 
 
 _PGM_LEVELS = [str(v) for v in range(256)]

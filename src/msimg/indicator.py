@@ -21,13 +21,17 @@ unit phase z^{-(N+1)/2} leaves the norm alone and turns the powers into
 the conjugate pairs w_j, conj(w_j) with w_j = z^{j - 1/2}, j = 1..h,
 h = N / 2; odd N gets one zero column of G, which adds exactly 0, and
 h = (N + 1) / 2.  So the series is ||R u||^2 with the real vector
-u = (Re w_1, Im w_1, ..., Re w_h, Im w_h) and the real (2N, 2h) operator R
-that Spectrum.picard_operator folds once per spectrum, interval and band.
-Every indicator evaluates it that way: one real matrix-vector product per
-point, and on a grid one exponential and h complex products per point,
-2 N^2 multiply-adds where the complex G takes 4 N^2.  The series is a
-trigonometric polynomial in x_hat . y with period 2 pi / dk, so a search
-region wider than that along x_hat sees the strip repeated (aliased).
+u = (Re w_1, Im w_1, ..., Re w_h, Im w_h) and a real (2N, 2h) fold R of G.
+R has rank at most 2h, and Spectrum.picard_operator keeps, once per
+spectrum, interval and band, a (2h, 2h) factor F with ||F u|| = ||R u||:
+the triangular factor of a Householder QR of R with rows sorted by
+decreasing norm and columns pivoted, the pivot order folded back into
+F's columns.  Every indicator evaluates ||F u||^2: one real
+matrix-vector product per point, and on a grid one exponential and h
+complex products per point, N^2 multiply-adds where R takes 2 N^2 and
+the complex G 4 N^2.  The series is a trigonometric polynomial in
+x_hat . y with period 2 pi / dk, so a search region wider than that along
+x_hat sees the strip repeated (aliased).
 `test_vector` and `picard_sum` evaluate the series term by term from its
 definition; they are the reference the folded form is tested against.
 """
@@ -84,7 +88,7 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
                      band: FrequencyBand) -> np.ndarray:
     """Vectorized Picard sums over many probe points, shape (P,).
 
-    Evaluates ||R u||^2 with the folded operator R of the spectrum
+    Evaluates ||F u||^2 with the spectrum's Picard operator F
     (Spectrum.picard_operator) and u = (Re w_j, Im w_j)_{j=1..h},
     w_j = e^{-i (j - 1/2) dk x_hat . y}.  The w_j are running products of
     w_1 and w_1^2, built per block of POINT_CHUNK points, so memory stays
@@ -93,8 +97,8 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
     """
     points = np.asarray(points, dtype=float)
     proj = points @ direction.vec
-    R = spectrum.picard_operator(interval, band)
-    h = R.shape[1] // 2
+    F = spectrum.picard_operator(interval, band)
+    h = F.shape[1] // 2
     sums = np.empty(len(proj))
     for start in range(0, len(proj), POINT_CHUNK):
         block = proj[start:start + POINT_CHUNK]
@@ -105,7 +109,7 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
             np.multiply(W[j - 1], step, out=W[j])
         U = np.empty((h, 2, len(block)))
         U[:, 0], U[:, 1] = W.real, W.imag
-        c = R @ U.reshape(2 * h, len(block))
+        c = F @ U.reshape(2 * h, len(block))
         np.einsum("ij,ij->j", c, c, out=sums[start:start + len(block)])
     return sums
 
@@ -134,8 +138,8 @@ def indicator_multi(spectra, directions, y, interval: TimeInterval,
 
     Callers filter non-observable directions first (see direction_filter);
     passing an empty direction set is an error.  Each direction's series
-    is ||R u||^2, one real matrix-vector product with the spectrum's
-    folded operator R on u = (Re w_j, Im w_j), the real view of
+    is ||F u||^2, one real matrix-vector product with the spectrum's
+    Picard operator F on u = (Re w_j, Im w_j), the real view of
     w_j = e^{-i (j - 1/2) dk x_hat . y}.
     """
     if len(directions) == 0:

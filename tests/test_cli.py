@@ -698,6 +698,27 @@ def test_empty_csv_refusal_is_the_only_stderr_line(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
+def test_snapped_slice_is_one_warning_line(tmp_path, monkeypatch):
+    # an off-lattice slice offset is snapped; stderr carries the CLI's one
+    # warning line, not Python's UserWarning with its source path and line
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(tmp_path,
+                        **_config3d([{"axis": 0, "offset": 0.01}]))
+    data = tmp_path / "data"
+    assert _run("synth", "--config", path, "--out", data) == 0
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(m.__file__).parent.parent), env.get("PYTHONPATH", "")])
+    res = subprocess.run([sys.executable, "-m", "msimg.cli", "image",
+                          "--config", str(path), "--data", str(data),
+                          "--out", str(tmp_path / "img")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    lines = [ln for ln in res.stderr.splitlines() if not ln.startswith("[")]
+    assert lines == ["warning: slice offset 0.01 snapped to lattice plane "
+                     "0.0 (slice 1)"], res.stderr
+
+
 # ---------------------------------------------------------------------------
 # shipped configs
 # ---------------------------------------------------------------------------

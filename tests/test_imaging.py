@@ -220,6 +220,24 @@ def test_field_csv_grid_mismatch(tmp_path):
         m.read_field_csv(path, m.make_grid([(-1, 1), (0, 2)], (7, 9)))
 
 
+def test_field_csv_coordinates_byte_for_byte(tmp_path):
+    # the coordinate texts are the writer's .17g texts, so a coordinate
+    # that only rounds to the lattice point, or an extra column, is refused
+    grid = m.make_grid([(-1, 1), (0, 2)], (9, 7))
+    path = tmp_path / "f.csv"
+    m.write_field_csv(path, _constant_field(grid))
+    good = path.read_text().splitlines()
+    assert good[2].startswith("-1,0.33333333333333331,")
+    for row in ("-1,0.3333333333333333,1", "-1.0,0.33333333333333331,1",
+                "-1,0.33333333333333331,1,1", "-1,0.33333333333333331,"):
+        path.write_text("\n".join(good[:2] + [row] + good[3:]) + "\n")
+        with pytest.raises(ValueError, match="f.csv"):
+            m.read_field_csv(path, grid)
+    path.write_text("\n".join(good) + "\n")
+    assert np.array_equal(m.read_field_csv(path, grid).values,
+                          np.ones(grid.size))
+
+
 def _write_csv_per_row(path, grid, values, fmt):
     """The per-row writer the lattice-line writer replaced, as reference."""
     cols = [f"x{i + 1}" for i in range(grid.dim)]

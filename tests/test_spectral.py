@@ -1,7 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
@@ -209,3 +213,85 @@ def test_spectrum_keeps_read_only_copies():
     assert np.array_equal(spec.eigenvalues, [3.0, 1.0, 1e-20])
     assert np.array_equal(spec.eigenvectors, np.eye(3))
     assert np.array_equal(spec.floored_eigenvalues(), [3.0, 1.0, 3e-14])
+
+
+# ---------------------------------------------------------------------------
+# The triangular factor of the folded Picard operator
+# ---------------------------------------------------------------------------
+
+def _graded_fold(n, seed, spread, annihilate):
+    """The fold R of a complex (n, n) G with row scales 10^0 to 10^7 and
+    entry magnitudes over `spread` decades, and a vector u on which the
+    `annihilate` fraction of R's largest rows (at most all but one) nearly
+    vanish, as the heavy rows of a Picard operator do inside a strip."""
+    rng = np.random.default_rng(seed)
+    exponents = rng.uniform(0.0, 7.0, n)
+    exponents[0], exponents[-1] = 0.0, 7.0
+    G = (10.0 ** exponents)[:, None] * 10.0 ** -rng.uniform(0, spread, (n, n)) \
+        * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    R = m.spectral._fold_conjugate_pairs(G)
+    cols = R.shape[1]
+    k = int(annihilate * (cols - 1))
+    u = rng.normal(size=cols)
+    if k:
+        heavy = R[np.argsort(-np.linalg.norm(R, axis=1))[:k]]
+        u = np.linalg.svd(heavy)[2][k:].T @ rng.normal(size=cols - k)
+    return R, u
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       spread=st.floats(0.0, 7.0), annihilate=st.floats(0.0, 1.0))
+@example(n=1, seed=0, spread=0.0, annihilate=1.0)
+@example(n=31, seed=1, spread=3.0, annihilate=1.0)
+@example(n=6, seed=3819493866, spread=5.2, annihilate=0.94)
+def test_norm_factor_rowwise_accurate(n, seed, spread, annihilate):
+    R, u = _graded_fold(n, seed, spread, annihilate)
+    cols = R.shape[1]
+    assert R.shape == (2 * n, 2 * ((n + 1) // 2))  # odd n: a zero column
+    F = m.spectral._norm_factor(R)
+    assert F.shape == (cols, cols)
+
+    # ||F u||^2 against a 40-digit ||R u||^2 of the same float R and u.
+    # Householder QR with sorted rows and pivoted columns is the exact
+    # factor of R + dR with ||dr_i|| <= c eps ||r_i|| (Cox and Higham
+    # 1998), which moves the sum by at most sum_i 2 |r_i.u| e_i + e_i^2,
+    # e_i = c eps ||r_i|| ||u||; c = 4 covers the product F u as well
+    # (largest error seen over 400 such draws: 0.27 of this bound)
+    with mpmath.workdps(40):
+        rows = [mpmath.fdot(r.tolist(), u.tolist()) for r in R]
+        exact = mpmath.fsum(x * x for x in rows)
+        e = 4 * np.finfo(float).eps * np.linalg.norm(R, axis=1) \
+            * np.linalg.norm(u)
+        bound = sum(2 * abs(float(x)) * ei + ei * ei
+                    for x, ei in zip(rows, e))
+        c = F @ u
+        assert abs(float(c @ c) - exact) <= bound
+
+    # F = T P^T: column j of F is column pos(j) of the triangular T
+    order = np.argsort([np.flatnonzero(F[:, j]).max() for j in range(cols)])
+    T = F[:, order]
+    A = R[np.argsort(-np.einsum("ij,ij->i", R, R), kind="stable")]
+    T_ref, piv = scipy.linalg.qr(A, mode="r", pivoting=True)
+    if not np.array_equal(order, piv):
+        # a tie: the pair of an odd n's zero column has two columns of
+        # equal norm, and rounding picks either one
+        k = int(np.flatnonzero(order != piv)[0])
+        assert abs(T[k, k]) == pytest.approx(abs(T_ref[k, k]), rel=1e-12)
+        T_ref = scipy.linalg.qr(A[:, order], mode="r")
+    T_ref = T_ref[:cols]
+    scale = np.linalg.norm(T_ref, axis=1, keepdims=True)
+    assert np.all(np.abs(np.abs(T) - np.abs(T_ref)) <= 1e-12 * scale)
+
+
+def test_picard_operator_is_the_factor_of_the_fold(vertical_line,
+                                                   default_band):
+    samples = m.sample_band(vertical_line, m.Direction.from_angle(1.0),
+                            default_band)
+    spec = m.f_sharp_spectrum(m.build_operator(samples))
+    iv = vertical_line.interval
+    G = (spec.eigenvectors.conj().T * m.forward.band_weights(iv, default_band)
+         / np.sqrt(spec.floored_eigenvalues())[:, None])
+    F = spec.picard_operator(iv, default_band)
+    want = m.spectral._norm_factor(m.spectral._fold_conjugate_pairs(G))
+    assert F.shape == (18, 18) and np.array_equal(F, want)
