@@ -14,7 +14,6 @@ import math
 import numbers
 import os
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,10 +23,8 @@ from . import forward, imaging, indicator, spectral, trajectory as traj_mod
 from .forward import FrequencyBand, NoiseSpec, QuadratureError
 from .imaging import ScalarField, SearchGrid, SliceSpec
 from .spectral import DiagonalizationError, MODE_PAPER, MODE_RIGOROUS
-from .trajectory import (Arc, Direction, Line, PiecewiseLinear, Sampled,
-                         TimeInterval, angle_in_set)
-
-TWO_PI = 2.0 * math.pi
+from .trajectory import (TWO_PI, Arc, Direction, Line, PiecewiseLinear,
+                         Sampled, TimeInterval, angle_in_set)
 
 # Largest |sinc(tau_n T / 2)| taken as zero: at dk T = 2 pi m the rounded
 # weights are ~1e-17, not 0, and W comes out ~1e17 everywhere.
@@ -206,10 +203,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                          _field(spec, "band.count", _integral))
     _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
                 f"{band.n} x {band.n} complex operator")
-    # one quadrature panel per phase oscillation, doubled 6 times at most
+    # one quadrature panel per phase cycle, doubled MAX_REFINE times at most
     cycles = band.k_max * (1 + traj.speed_bound()) * traj.interval.duration \
         / TWO_PI
-    _check_size("band.k_max", 8 * forward.GL_ORDER * 64 * cycles,
+    _check_size("band.k_max",
+                8 * forward.GL_ORDER * 2 ** forward.MAX_REFINE * cycles,
                 MAX_QUADRATURE_BYTES, f"quadrature of k_max (1 + max speed) "
                 f"T / 2 pi = {cycles:.6g} phase cycles")
     if not np.any(np.abs(forward.band_weights(traj.interval, band))
@@ -289,11 +287,10 @@ def _progress(j: int, total: int, label: str) -> None:
 
 
 def _direction_label(d: Direction) -> str:
+    """theta (and phi in 3D) of a direction built by from_angle(s)."""
     if d.phi is not None:
         return f"theta={d.theta:.6g} phi={d.phi:.6g}"
-    if d.theta is not None:
-        return f"theta={d.theta:.6g}"
-    return np.array2string(d.vec, precision=4)
+    return f"theta={d.theta:.6g}"
 
 
 def _load_spectra(config: ExperimentConfig, data_dir: Path):
@@ -424,13 +421,10 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
     else:
         planes = []
         for i, spec in enumerate(config.slices, start=1):
-            # the library warns of a snapped offset; the CLI says it once,
-            # as its own warning line without a source location
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                g2, pts3, _ = imaging.slice_grid(config.grid, spec)
-            for w in caught:
-                print(f"warning: {w.message} (slice {i})", file=sys.stderr)
+            g2, pts3, snapped = imaging.slice_grid(config.grid, spec)
+            if abs(snapped - spec.offset) > 1e-12:
+                print(f"warning: slice offset {spec.offset} snapped to "
+                      f"lattice plane {snapped} (slice {i})", file=sys.stderr)
             planes.append((g2, pts3, f"_slice{i}"))
     _warn_aliasing(directions, planes, band)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from .trajectory import Direction, TimeInterval, Trajectory, h_values
 
 QUAD_TOL = 1e-10
 GL_ORDER = 20
+MAX_REFINE = 6   # panel doublings before the quadrature gives up
 
 
 @functools.cache
@@ -159,13 +159,13 @@ def _phase_integral(traj: Trajectory, direction: Direction, k: float,
     return complex(total)
 
 
-def far_field_value(traj: Trajectory, direction: Direction, k: float,
-                    tol: float = QUAD_TOL) -> complex:
-    """Far-field value at wavenumber k (any real k, including 0) to `tol`."""
+def far_field_value(traj: Trajectory, direction: Direction,
+                    k: float) -> complex:
+    """Far-field value at any real wavenumber k, 0 included, to QUAD_TOL."""
     prev = _phase_integral(traj, direction, k, refine=0)
-    for refine in range(1, 7):
+    for refine in range(1, MAX_REFINE + 1):
         cur = _phase_integral(traj, direction, k, refine=refine)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < QUAD_TOL:
             return cur
         prev = cur
     raise QuadratureError(abs(cur - prev))
@@ -222,34 +222,36 @@ def add_noise(samples: FarFieldSamples, noise: NoiseSpec) -> FarFieldSamples:
 # Far-field CSV interface: header k,re,im, one row per midpoint
 # ---------------------------------------------------------------------------
 
+def _k_texts(band: FrequencyBand) -> list[bytes]:
+    """`.17g,` text of each band midpoint: a far-field CSV row's k cell."""
+    return [f"{k:.17g},".encode() for k in band.midpoints().tolist()]
+
+
 def write_farfield_csv(path, samples: FarFieldSamples) -> None:
-    ks = samples.band.midpoints()
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("k,re,im\n")
-        for k, w in zip(ks, samples.values):
-            f.write(f"{k:.17g},{w.real:.17g},{w.imag:.17g}\n")
-
-
-def load_csv(path) -> np.ndarray:
-    """The numbers of a comma-separated file after its header line, 2D.
-
-    A file with no data rows gives an empty array for the caller's shape
-    check to refuse, without numpy's warning that it held no data.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path, "wb") as f:
+        f.write(b"k,re,im\n")
+        for k, w in zip(_k_texts(samples.band), samples.values.tolist()):
+            f.write(k + f"{w.real:.17g},{w.imag:.17g}\n".encode())
 
 
 def read_farfield_csv(path, direction: Direction,
                       band: FrequencyBand) -> FarFieldSamples:
-    """Load samples; the file's frequency grid must match `band`."""
-    data = load_csv(path)
-    if data.shape != (band.n, 3) or not np.allclose(
-            data[:, 0], band.midpoints(), atol=1e-9):
+    """Samples on `band` as write_farfield_csv writes them.
+
+    After the header line, row n must start with the `_k_texts` of k_n,
+    byte for byte, and hold two numbers after it, re and im.
+    """
+    ks = _k_texts(band)
+    with open(path, "rb") as f:
+        rows = f.readlines()[1:]
+    if len(rows) != band.n or not all(map(bytes.startswith, rows, ks)):
         raise ValueError(f"{path}: expected {band.n} rows k,re,im on the "
                          f"frequency grid of the band")
     vals = np.empty(band.n, dtype=complex)  # re + 1j * im drops -0.0 parts
-    vals.real, vals.imag = data[:, 1], data[:, 2]
+    for n, (k, row) in enumerate(zip(ks, rows)):
+        try:
+            vals.real[n], vals.imag[n] = map(float, row[len(k):].split(b","))
+        except ValueError:
+            raise ValueError(f"{path}: row {n + 2} does not hold two numbers "
+                             "re,im after k") from None
     return FarFieldSamples(direction, band, vals)

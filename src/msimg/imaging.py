@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,16 +99,13 @@ def make_grid(bounds, resolution) -> SearchGrid:
 def slice_grid(grid3: SearchGrid, spec: SliceSpec):
     """2D grid of the remaining axes plus the 3D points on the slice plane.
 
-    Off-lattice offsets are snapped to the nearest lattice plane with a
-    warning; returns (grid2, points3, snapped_offset).
+    An off-lattice offset is snapped to the nearest lattice plane; returns
+    (grid2, points3, snapped_offset).
     """
     spec.check(grid3)
     axis_vals = grid3.axes()[spec.axis]
     idx = int(np.argmin(np.abs(axis_vals - spec.offset)))
     snapped = float(axis_vals[idx])
-    if abs(snapped - spec.offset) > 1e-12:
-        warnings.warn(f"slice offset {spec.offset} snapped to lattice plane "
-                      f"{snapped}", stacklevel=2)
     keep = [a for a in range(3) if a != spec.axis]
     grid2 = make_grid([grid3.bounds[a] for a in keep],
                       [grid3.resolution[a] for a in keep])

@@ -268,10 +268,51 @@ def test_farfield_csv_roundtrip_bit_exact(tmp_path_factory, parts, extremes):
     assert np.array_equal(back.view(np.uint64), vals.view(np.uint64))
 
 
-def test_farfield_csv_band_mismatch(tmp_path, vertical_line, default_band):
+def _k_respelled(spell):
+    """Edit of a far-field file's lines: the first row's k written as
+    spell(k)."""
+    def edit(lines):
+        k, rest = lines[1].split(",", 1)
+        assert spell(float(k)) != k
+        return [lines[0], f"{spell(float(k))},{rest}", *lines[2:]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, n", [
+    pytest.param(lambda lines: lines, 9, id="wrong band"),
+    pytest.param(_k_respelled(lambda k: f"{np.nextafter(k, 4.0):.17g}"), 18,
+                 id="k one ulp off"),
+    pytest.param(_k_respelled(lambda k: f"{k:.12g}"), 18, id="k 12 digits"),
+    pytest.param(_k_respelled(repr), 18, id="k shortest repr"),
+    pytest.param(lambda lines: lines + [""], 18, id="trailing blank line"),
+    pytest.param(lambda lines: lines[:1] + ["# comment"] + lines[1:], 18,
+                 id="comment line"),
+])
+def test_farfield_csv_band_mismatch(tmp_path, vertical_line, default_band,
+                                    edit, n):
+    # the reader takes the writer's k text of its own band and nothing else
     d = m.Direction.from_angle(2.0)
-    samples = m.sample_band(vertical_line, d, default_band)
     path = tmp_path / "ff.csv"
-    m.write_farfield_csv(path, samples)
+    m.write_farfield_csv(path, m.sample_band(vertical_line, d, default_band))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError):
-        m.read_farfield_csv(path, d, m.FrequencyBand(3 * math.pi, 9))
+        m.read_farfield_csv(path, d, m.FrequencyBand(3 * math.pi, n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k_max=st.floats(1e-6, 1e6), n=st.integers(1, 64), data=st.data())
+def test_farfield_csv_refuses_k_one_ulp_off(tmp_path_factory, k_max, n,
+                                            data):
+    band = m.FrequencyBand(k_max, n)
+    d = m.Direction.from_angle(0.5)
+    path = tmp_path_factory.mktemp("ff") / "ff.csv"
+    m.write_farfield_csv(path, m.FarFieldSamples(d, band, np.ones(n)))
+    m.read_farfield_csv(path, d, band)
+    row = data.draw(st.integers(1, n))
+    toward = data.draw(st.sampled_from([-math.inf, math.inf]))
+    lines = path.read_text().splitlines()
+    k, rest = lines[row].split(",", 1)
+    lines[row] = f"{np.nextafter(float(k), toward):.17g},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        m.read_farfield_csv(path, d, band)

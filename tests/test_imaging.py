@@ -74,8 +74,7 @@ def test_slice_field_constant():
 
 def test_slice_field_snaps_offset():
     grid3 = m.make_grid([(-1, 1)] * 3, (5, 5, 5))
-    with pytest.warns(UserWarning, match="snapped"):
-        _, pts3, snapped = m.slice_grid(grid3, m.SliceSpec(2, 0.1))
+    _, pts3, snapped = m.slice_grid(grid3, m.SliceSpec(2, 0.1))
     assert snapped == pytest.approx(0.0)
     assert np.all(pts3[:, 2] == snapped)
 

@@ -2,7 +2,8 @@
 # Run synth -> classify -> image -> compare on every configs/*.json of the
 # source tree SRC and keep all outputs under OUT/<config name>/, together
 # with each command's stdout, stderr and exit status (<command>.log).
-# Two trees' outputs can then be compared with `diff -r`.
+# Two runs of one tree give identical outputs under `diff -r`; the outputs
+# of two source trees are compared with tools/compare_trees.py.
 #
 # Usage: tools/run_configs.sh SRC OUT
 #
