@@ -7,13 +7,11 @@ from .forward import (FarFieldSamples, FrequencyBand, NoiseSpec,
 from .imaging import (ScalarField, SearchGrid, SliceSpec, contrast_metric,
                       make_grid, mask_strip, read_field_csv, slice_grid,
                       write_field_csv, write_pgm)
-from .indicator import (DEFAULT_THRESHOLD, PicardResult, combine_directions,
+from .indicator import (DEFAULT_THRESHOLD, combine_directions,
                         direction_filter, filtered_field_values,
-                        indicator_multi, indicator_single, picard_sum,
-                        picard_sums_grid, test_vector)
+                        indicator_multi, indicator_single, picard_sums_grid)
 from .spectral import (MODE_PAPER, MODE_RIGOROUS, DiagonalizationError,
-                       Spectrum, build_operator, f_sharp_spectrum,
-                       hermitian_abs, hermitian_parts)
+                       Spectrum, build_operator, f_sharp_spectrum)
 from .trajectory import (Arc, Direction, Line, ObservabilityReport,
                          PiecewiseLinear, Sampled, Strip, ThetaDomain,
                          TimeInterval, Trajectory, classify,

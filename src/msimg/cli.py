@@ -409,7 +409,9 @@ def cmd_classify(config: ExperimentConfig, out_dir) -> int:
 
 
 def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
-    """Per-direction and truncated multi-direction indicator fields."""
+    """Per-direction and truncated multi-direction indicator fields; every
+    field is computed before the output directory is made, so a run that
+    fails writes none."""
     data = Path(data_dir) if data_dir else Path(config.output_dir)
     spectra = _load_spectra(config, data)
     directions = config.directions
@@ -428,33 +430,34 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
             planes.append((g2, pts3, f"_slice{i}"))
     _warn_aliasing(directions, planes, band)
 
-    out = _out_dir(config, out_dir)
-    all_sums = [[] for _ in directions]
+    # each direction's sums over all planes, one array per direction
+    sums = []
     for j, (spec_j, d) in enumerate(zip(spectra, directions), start=1):
         _progress(j, total, f"imaging {_direction_label(d)}")
-        for g2, pts, tag in planes:
-            sums = indicator.picard_sums_grid(spec_j, d, pts, interval, band)
-            all_sums[j - 1].append(sums)
-            fld = ScalarField(g2, indicator.indicator_values(sums))
-            imaging.write_field_csv(out / f"field_{j}{tag}.csv", fld)
-            imaging.write_pgm(out / f"field_{j}{tag}.pgm", fld)
-
-    # one filter decision and one combined field over all planes together
-    values, kept = indicator.combine_directions(
-        [np.concatenate(s) for s in all_sums], config.threshold)
-    dropped = [j + 1 for j in range(total) if j not in kept]
-    if values is None:
+        sums.append(np.concatenate([
+            indicator.picard_sums_grid(spec_j, d, pts, interval, band)
+            for _, pts, _ in planes]))
+    # one filter decision and one combined field over all planes together;
+    # after it the sums are inverted in place
+    multi, kept = indicator.combine_directions(sums, config.threshold)
+    fields = {f"field_{j}": indicator.indicator_values(s)
+              for j, s in enumerate(sums, start=1)}
+    if multi is None:
         print("warning: the filter dropped every direction; no combined field",
               file=sys.stderr)
-        print(f"kept 0 of {total} directions; dropped {total}")
-        return 0
+    else:
+        fields["field_multi"] = multi
+
+    out = _out_dir(config, out_dir)
     ends = np.cumsum([g2.size for g2, _, _ in planes])[:-1]
-    for (g2, _, tag), vals in zip(planes, np.split(values, ends)):
-        fld = ScalarField(g2, vals)
-        imaging.write_field_csv(out / f"field_multi{tag}.csv", fld)
-        imaging.write_pgm(out / f"field_multi{tag}.pgm", fld)
+    for name, values in fields.items():
+        for (g2, _, tag), vals in zip(planes, np.split(values, ends)):
+            fld = ScalarField(g2, vals)
+            imaging.write_field_csv(out / f"{name}{tag}.csv", fld)
+            imaging.write_pgm(out / f"{name}{tag}.pgm", fld)
+    dropped = [j + 1 for j in range(total) if j not in kept]
     print(f"kept {len(kept)} of {total} directions; dropped {len(dropped)}"
-          + (f" {dropped}" if dropped else ""))
+          + (f" {dropped}" if kept and dropped else ""))
     return 0
 
 
@@ -471,7 +474,7 @@ def _score(fld: ScalarField, mask: np.ndarray, argmax: int,
 
 
 def cmd_compare(config: ExperimentConfig, field_path, out_file,
-                margin: float = 0.25) -> int:
+                margin: float = imaging.DEFAULT_MARGIN) -> int:
     """Metrics of a field CSV against each direction's strip mask and the
     Theta-domain, the AND of the nonempty strip masks."""
     if config.grid.dim != 2:
@@ -535,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--field", required=True, help="field CSV to score")
     sp.add_argument("--out", default=None, help="metrics JSON file (default: stdout)")
-    sp.add_argument("--margin", type=float, default=0.25)
+    sp.add_argument("--margin", type=float, default=imaging.DEFAULT_MARGIN)
     return p
 
 

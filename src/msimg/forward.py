@@ -73,29 +73,15 @@ class FrequencyBand:
         return np.arange(1, self.n + 1) * self.dk
 
 
-def probe_entries(projections: np.ndarray, interval: TimeInterval,
-                  band: FrequencyBand) -> np.ndarray:
-    """Range-test vector entries on the band nodes, shape (N, P).
-
-    sinc(tau_n T / 2) e^{-i tau_n (t_mid + p)} for each value p = x_hat . y
-    of `projections`; the indicator module builds its test vectors here.
-    """
-    tau = band.nodes()
-    T = interval.duration
-    amp = np.sinc(tau * T / 2.0 / np.pi)  # sin(x)/x, exact 1 at tau = 0
-    phase = np.exp(-1j * tau[:, None]
-                   * (interval.midpoint + projections[None, :]))
-    return amp[:, None] * phase
-
-
 def band_weights(interval: TimeInterval, band: FrequencyBand) -> np.ndarray:
     """Point-independent test-vector weights, shape (N,).
 
     sinc(tau_n T / 2) e^{-i tau_n t_mid}; they all vanish exactly when
     dk T is a multiple of 2 pi, and every test vector with them.
     """
-    # the test vector at x_hat . y = 0
-    return probe_entries(np.zeros(1), interval, band)[:, 0]
+    tau = band.nodes()
+    return np.sinc(tau * interval.duration / 2.0 / np.pi) \
+        * np.exp(-1j * tau * interval.midpoint)  # sinc(x/pi) = sin(x)/x
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +208,9 @@ def add_noise(samples: FarFieldSamples, noise: NoiseSpec) -> FarFieldSamples:
 # Far-field CSV interface: header k,re,im, one row per midpoint
 # ---------------------------------------------------------------------------
 
+_HEADER = b"k,re,im\n"
+
+
 def _k_texts(band: FrequencyBand) -> list[bytes]:
     """`.17g,` text of each band midpoint: a far-field CSV row's k cell."""
     return [f"{k:.17g},".encode() for k in band.midpoints().tolist()]
@@ -229,7 +218,7 @@ def _k_texts(band: FrequencyBand) -> list[bytes]:
 
 def write_farfield_csv(path, samples: FarFieldSamples) -> None:
     with open(path, "wb") as f:
-        f.write(b"k,re,im\n")
+        f.write(_HEADER)
         for k, w in zip(_k_texts(samples.band), samples.values.tolist()):
             f.write(k + f"{w.real:.17g},{w.imag:.17g}\n".encode())
 
@@ -238,12 +227,15 @@ def read_farfield_csv(path, direction: Direction,
                       band: FrequencyBand) -> FarFieldSamples:
     """Samples on `band` as write_farfield_csv writes them.
 
-    After the header line, row n must start with the `_k_texts` of k_n,
-    byte for byte, and hold two numbers after it, re and im.
+    The header line must be the writer's, and row n must start with the
+    `_k_texts` of k_n, byte for byte, and hold two numbers after it, re
+    and im.
     """
     ks = _k_texts(band)
     with open(path, "rb") as f:
-        rows = f.readlines()[1:]
+        if f.readline() != _HEADER:
+            raise ValueError(f"{path}: the header line is not k,re,im")
+        rows = f.readlines()
     if len(rows) != band.n or not all(map(bytes.startswith, rows, ks)):
         raise ValueError(f"{path}: expected {band.n} rows k,re,im on the "
                          f"frequency grid of the band")

@@ -154,8 +154,13 @@ def _within_margin(mask: np.ndarray, spacing, margin: float) -> np.ndarray:
     return near
 
 
+# Default distance from a mask within which outside points are not scored,
+# in the grid's length unit; `compare --margin` and cmd_compare share it.
+DEFAULT_MARGIN = 0.25
+
+
 def contrast_metric(fld: ScalarField, mask: np.ndarray,
-                    margin: float = 0.25) -> dict:
+                    margin: float = DEFAULT_MARGIN) -> dict:
     """Inside/outside medians of a field against a boolean mask.
 
     Outside points within `margin` of the mask (Euclidean distance over
@@ -187,6 +192,11 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
 # least one).  With the byte matrix and the kernel's temporaries a block
 # takes about 0.3 kB per value.
 FIELD_BLOCK = 2048
+
+
+def _field_header(dim: int) -> bytes:
+    """Header line of a field CSV on a `dim`-dimensional grid."""
+    return ("".join(f"x{i + 1}," for i in range(dim)) + "w\n").encode()
 
 
 def _axis_texts(axis: np.ndarray) -> list[bytes]:
@@ -225,8 +235,7 @@ def write_field_csv(path, fld: ScalarField) -> None:
     rows = buf.reshape(lines * n_last, width)[:, w_lead + w_last:]
     values = fld.values.reshape(-1, n_last)
     with open(path, "wb") as f:
-        f.write(("".join(f"x{i + 1}," for i in range(grid.dim))
-                 + "w\n").encode())
+        f.write(_field_header(grid.dim))
         for start in range(0, len(values), lines):
             k = min(lines, len(values) - start)
             idx = np.unravel_index(np.arange(start, start + k),
@@ -241,14 +250,17 @@ def write_field_csv(path, fld: ScalarField) -> None:
 def read_field_csv(path, grid: SearchGrid) -> ScalarField:
     """A field CSV of `grid` as write_field_csv writes it.
 
-    After the header line, row r must start with the `_axis_texts` of
-    lattice point r, byte for byte, and hold one value after them; only
-    the values are parsed.  Rows are read one at a time.
+    The header line must be the writer's, and row r must start with the
+    `_axis_texts` of lattice point r, byte for byte, and hold one value
+    after them; only the values are parsed.  Rows are read one at a time.
     """
     values = np.empty(grid.size)
     r = -1
+    header = _field_header(grid.dim)
     with open(path, "rb") as f:
-        f.readline()
+        if f.readline() != header:
+            raise ValueError(f"{path}: the header line is not "
+                             f"{header.decode().strip()}")
         points = map(b"".join, itertools.product(*map(_axis_texts,
                                                        grid.axes())))
         for r, (coords, row) in enumerate(zip(points, f)):

@@ -32,17 +32,16 @@ complex products per point, N^2 multiply-adds where R takes 2 N^2 and
 the complex G 4 N^2.  The series is a trigonometric polynomial in
 x_hat . y with period 2 pi / dk, so a search region wider than that along
 x_hat sees the strip repeated (aliased).
-`test_vector` and `picard_sum` evaluate the series term by term from its
-definition; they are the reference the folded form is tested against.
+On a grid every indicator value is W = 1 / S of the summed series S,
+taken in place by `indicator_values`.  The term-by-term series the folded
+form is tested against lives with the tests (tests/picard_reference.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .forward import FrequencyBand, probe_entries
+from .forward import FrequencyBand
 from .spectral import Spectrum
 from .trajectory import Direction, TimeInterval
 
@@ -55,32 +54,6 @@ DEFAULT_THRESHOLD = 3.5e3
 # that split a point array at multiples of it reproduce the unsplit result
 # bit for bit.
 POINT_CHUNK = 2048
-
-
-@dataclass(frozen=True, eq=False)
-class PicardResult:
-    """Total Picard sum and the per-eigenpair contributions."""
-
-    total: float
-    terms: np.ndarray
-
-
-def test_vector(direction: Direction, y, interval: TimeInterval,
-                band: FrequencyBand) -> np.ndarray:
-    """Entries phi_n(y), shape (N,); they depend on y only through x_hat . y."""
-    proj = np.array([float(direction.vec @ np.asarray(y, dtype=float))])
-    return probe_entries(proj, interval, band)[:, 0]
-
-
-def picard_sum(spectrum: Spectrum, phi: np.ndarray) -> PicardResult:
-    """Series terms |<phi, psi_n>|^2 / lambda_n with floored eigenvalues.
-
-    The inner product is conjugate-linear in the second argument:
-    <u, v> = sum_m u_m conj(v_m).
-    """
-    coef = spectrum.eigenvectors.conj().T @ np.asarray(phi)
-    terms = np.abs(coef) ** 2 / spectrum.floored_eigenvalues()
-    return PicardResult(float(np.sum(terms)), terms)
 
 
 def picard_sums_grid(spectrum: Spectrum, direction: Direction,
@@ -156,12 +129,8 @@ def indicator_multi(spectra, directions, y, interval: TimeInterval,
 
 
 def indicator_values(sums: np.ndarray) -> np.ndarray:
-    """Indicator W = 1 / S of an array of Picard sums S, +inf where S = 0."""
-    return _reciprocal(np.array(sums, dtype=float))
-
-
-def _reciprocal(sums: np.ndarray) -> np.ndarray:
-    """1 / S in place of an owned array of sums S, +inf where S = 0."""
+    """Indicator W = 1 / S of an owned float array of Picard sums S, in
+    place; +inf where S = 0."""
     zero = ~(sums > 0.0)
     with np.errstate(divide="ignore"):
         np.divide(1.0, sums, out=sums)
@@ -176,7 +145,8 @@ def combine_directions(grid_sums, threshold: float = DEFAULT_THRESHOLD):
     search grid.  Returns (values, kept_indices); `values` is the
     reciprocal of the summed series of the kept directions, or None when
     the filter drops every direction.  The kept sums are added in kept
-    order into one new array, which then turns into the reciprocal.
+    order into one new array, which indicator_values then inverts;
+    `grid_sums` is left as it is.
     """
     kept = direction_filter(grid_sums, threshold)
     if not kept:
@@ -184,7 +154,7 @@ def combine_directions(grid_sums, threshold: float = DEFAULT_THRESHOLD):
     total = np.array(grid_sums[kept[0]], dtype=float)
     for j in kept[1:]:
         total += grid_sums[j]
-    return _reciprocal(total), kept
+    return indicator_values(total), kept
 
 
 def filtered_field_values(spectra, directions, points: np.ndarray,

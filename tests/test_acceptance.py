@@ -169,8 +169,8 @@ def test_c04_operator_structure(slow_line, band):
         for off in range(-(n - 1), n):
             diag = np.diagonal(F, offset=off)
             assert np.all(diag == diag[0]), "Toeplitz structure broken"
-        re, im = m.hermitian_parts(F)
-        f_sharp = m.hermitian_abs(re) + m.hermitian_abs(im)
+        re, im = m.spectral.hermitian_parts(F)
+        f_sharp = m.spectral.hermitian_abs(re) + m.spectral.hermitian_abs(im)
         assert np.max(np.abs(f_sharp - f_sharp.conj().T)) <= 1e-14
         lam = np.linalg.eigvalsh(f_sharp)
         assert lam.min() >= -1e-12 * lam.max()

@@ -368,6 +368,29 @@ def test_image_missing_data_file(tmp_path, monkeypatch):
     assert _run("image", "--config", path, "--data", tmp_path / "nowhere") == 2
 
 
+def test_image_writes_nothing_on_a_numerical_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # every field is computed before the output directory is made: a
+    # kernel failure on the second direction leaves no field_1 behind
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(tmp_path, directions={"angles": [PI / 2, 0.0]})
+    data = tmp_path / "data"
+    assert _run("synth", "--config", path, "--out", data) == 0
+    kernel, seen = m.indicator.picard_sums_grid, []
+
+    def fail_on_second(spectrum, direction, *args):
+        seen.append(direction)
+        if direction is not seen[0]:
+            raise np.linalg.LinAlgError("forced failure")
+        return kernel(spectrum, direction, *args)
+
+    monkeypatch.setattr(m.indicator, "picard_sums_grid", fail_on_second)
+    out = tmp_path / "img"
+    assert _run("image", "--config", path, "--data", data, "--out", out) == 3
+    assert "forced failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_image_threads_match_serial(tmp_path, capsys, monkeypatch):
     # --threads is accepted, warned about and ignored
     monkeypatch.delenv("MSIMG_SEED", raising=False)
@@ -670,6 +693,47 @@ def test_compare_contract_on_corrupt_field(tmp_path, corruption):
     # exit 2 with a message, and no metrics file next to the field
     assert _assert_contract(root, "compare", "--config", path, "--field",
                             field_path, "--out", root / "metrics.json") == 2
+
+
+@pytest.mark.parametrize("kind, header", [
+    ("farfield", b"x1,x2,w\n"), ("farfield", b"k,re,in\n"),
+    ("farfield", b"anything\n"), ("field", b"k,re,im\n"),
+    ("field", b"x1,x2,x3,w\n"), ("field", b"x1,x2,v\n"),
+])
+def test_readers_refuse_a_wrong_header(tmp_path, monkeypatch, kind, header):
+    # a written file reads back; with its header swapped for another
+    # format's, a wrong dimension's or a misspelt one, the reader raises
+    # and the command that reads it exits 2 and writes nothing
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(tmp_path)
+    cfg = cli.load_config(path)
+    root = tmp_path / "run"
+    if kind == "farfield":
+        data = root / "data"
+        assert _run("synth", "--config", path, "--out", data) == 0
+        target = data / "farfield_1.csv"
+
+        def read():
+            return m.read_farfield_csv(target, cfg.directions[0], cfg.band)
+
+        argv = ["image", "--config", path, "--data", data,
+                "--out", root / "img"]
+    else:
+        root.mkdir()
+        target = root / "field.csv"
+        m.write_field_csv(target, m.ScalarField(
+            cfg.grid, np.random.default_rng(5).uniform(size=cfg.grid.size)))
+
+        def read():
+            return m.read_field_csv(target, cfg.grid)
+
+        argv = ["compare", "--config", path, "--field", target,
+                "--out", root / "metrics.json"]
+    read()
+    target.write_bytes(header + target.read_bytes().partition(b"\n")[2])
+    with pytest.raises(ValueError, match="header"):
+        read()
+    assert _assert_contract(root, *argv) == 2
 
 
 @pytest.mark.parametrize("command", ["compare", "image"])

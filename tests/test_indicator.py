@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
+import picard_reference as ref
 
 TWO_PI = 2 * math.pi
 POINT_CHUNK = m.indicator.POINT_CHUNK
@@ -36,7 +37,7 @@ def test_test_vector_first_entry(default_band):
     # orthogonal probe point, T = 2, tau_1 = pi/6
     interval = m.TimeInterval(1, 3)
     d = m.Direction.from_angle(0.0)
-    phi = m.test_vector(d, (0.0, 5.0), interval, default_band)
+    phi = ref.test_vector(d, (0.0, 5.0), interval, default_band)
     tau1 = math.pi / 6
     want = (1j / (2 * tau1)) * (np.exp(-3j * tau1) - np.exp(-1j * tau1))
     assert phi[0] == pytest.approx(want, abs=1e-14)
@@ -48,7 +49,7 @@ def test_test_vector_matches_direct_formula(default_band):
     for _ in range(25):
         d = m.Direction.from_angle(float(rng.uniform(0, TWO_PI)))
         y = rng.uniform(-3, 3, 2)
-        got = m.test_vector(d, y, interval, default_band)
+        got = ref.test_vector(d, y, interval, default_band)
         assert_allclose(got, _direct_entries(d, y, interval, default_band),
                         atol=1e-13)
 
@@ -60,7 +61,7 @@ def test_test_vector_modulus_bounded(default_band):
                                   float(rng.uniform(1.5, 4)))
         d = m.Direction.from_angle(float(rng.uniform(0, TWO_PI)))
         y = rng.uniform(-5, 5, 2)
-        phi = m.test_vector(d, y, interval, default_band)
+        phi = ref.test_vector(d, y, interval, default_band)
         assert np.all(np.abs(phi) <= 1.0 + 1e-12)
 
 
@@ -68,7 +69,7 @@ def test_test_vector_small_node_limit():
     # the closed form has a removable singularity at tau = 0; entries stay
     # well defined and tend to 1 as the node frequency vanishes
     band = m.FrequencyBand(1e-12, 1)
-    phi = m.test_vector(m.Direction.from_angle(0.3), (0.4, -0.2),
+    phi = ref.test_vector(m.Direction.from_angle(0.3), (0.4, -0.2),
                         m.TimeInterval(1, 3), band)
     assert phi[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -76,9 +77,20 @@ def test_test_vector_small_node_limit():
 def test_test_vector_hyperplane_shift_bit_identical(default_band):
     interval = m.TimeInterval(1, 3)
     d = m.Direction.from_angle(0.0)  # x_hat = (1, 0); (0, s) shifts are unseen
-    a = m.test_vector(d, (0.7, -1.0), interval, default_band)
-    b = m.test_vector(d, (0.7, 4.0), interval, default_band)
+    a = ref.test_vector(d, (0.7, -1.0), interval, default_band)
+    b = ref.test_vector(d, (0.7, 4.0), interval, default_band)
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.sampled_from([1, 2, 18, 72]), k_max=st.floats(1e-3, 100.0),
+       t_min=st.floats(0.0, 20.0), duration=st.floats(1e-3, 20.0))
+def test_band_weights_are_the_test_vector_at_zero(n, k_max, t_min, duration):
+    # the weights are the reference entries at x_hat . y = 0, bit for bit
+    iv = m.TimeInterval(t_min, t_min + duration)
+    band = m.FrequencyBand(k_max, n)
+    assert np.array_equal(m.forward.band_weights(iv, band),
+                          ref.probe_entries(np.zeros(1), iv, band)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +99,14 @@ def test_test_vector_hyperplane_shift_bit_identical(default_band):
 
 def test_picard_sum_on_eigenvector(vertical_line, default_band):
     spec, _ = _spectrum_for(vertical_line, math.pi / 2, default_band)
-    res = m.picard_sum(spec, spec.eigenvectors[:, 0])
+    res = ref.picard_sum(spec, spec.eigenvectors[:, 0])
     assert res.total == pytest.approx(1.0 / spec.eigenvalues[0], rel=1e-12)
     assert res.terms[0] == pytest.approx(res.total, rel=1e-6)
 
 
 def test_picard_sum_zero_vector(vertical_line, default_band):
     spec, _ = _spectrum_for(vertical_line, math.pi / 2, default_band)
-    res = m.picard_sum(spec, np.zeros(default_band.n, dtype=complex))
+    res = ref.picard_sum(spec, np.zeros(default_band.n, dtype=complex))
     assert res.total == 0.0
     assert np.all(res.terms == 0.0)
 
@@ -106,9 +118,9 @@ def test_picard_sum_scaling(vertical_line, default_band):
     scaled = m.FarFieldSamples(d, default_band, c * samples.values)
     s1 = m.f_sharp_spectrum(m.build_operator(samples))
     s2 = m.f_sharp_spectrum(m.build_operator(scaled))
-    phi = m.test_vector(d, (0.0, 2.0), vertical_line.interval, default_band)
-    r1 = m.picard_sum(s1, phi)
-    r2 = m.picard_sum(s2, phi)
+    phi = ref.test_vector(d, (0.0, 2.0), vertical_line.interval, default_band)
+    r1 = ref.picard_sum(s1, phi)
+    r2 = ref.picard_sum(s2, phi)
     # 1/c scaling is exact in exact arithmetic; in floats the eigenpairs
     # below the eigh noise floor do not reproduce, so pin the resolved part
     # tightly and the full sum at the level the noise terms permit
@@ -134,8 +146,8 @@ def test_picard_sum_invariant_under_degenerate_relabeling():
     spec2 = m.Spectrum(lam, Q2, m.MODE_RIGOROUS)
     for _ in range(10):
         phi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert m.picard_sum(spec1, phi).total == pytest.approx(
-            m.picard_sum(spec2, phi).total, rel=1e-8)
+        assert ref.picard_sum(spec1, phi).total == pytest.approx(
+            ref.picard_sum(spec2, phi).total, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +184,8 @@ def test_picard_sums_grid_matches_pointwise(vertical_line, default_band):
     pts = np.array([[0.0, 2.0], [1.0, 1.0], [-1.5, 3.5]])
     grid_vals = m.picard_sums_grid(spec, d, pts, iv, default_band)
     for p, v in zip(pts, grid_vals):
-        want = m.picard_sum(spec, m.test_vector(d, p, iv, default_band)).total
+        want = ref.picard_sum(spec,
+                              ref.test_vector(d, p, iv, default_band)).total
         assert v == pytest.approx(want, rel=1e-9)
 
 
@@ -203,7 +216,7 @@ def test_picard_sums_grid_matches_picard_sum(vertical_line, n, mode, count):
     got = m.picard_sums_grid(spec, d, pts, iv, band)
     assert got.shape == (count,)
     for g, p, proj in zip(got, pts, s):
-        want = m.picard_sum(spec, m.test_vector(d, p, iv, band))
+        want = ref.picard_sum(spec, ref.test_vector(d, p, iv, band))
         # 1e-9 relative, except where the series is so ill-conditioned
         # (small sum, components on floored eigenvalues) that rounding
         # alone moves the reference further
@@ -241,7 +254,7 @@ def test_folded_kernel_matches_picard_sum(n, mode, theta, offsets):
     pts = np.array([a * d.vec + b * normal for a, b in offsets])
     got = m.picard_sums_grid(spec, d, pts, iv, band)
     for g, p in zip(got, pts):
-        want = m.picard_sum(spec, m.test_vector(d, p, iv, band))
+        want = ref.picard_sum(spec, ref.test_vector(d, p, iv, band))
         bound = _rounding_bound(spec, want, band, iv, float(d.vec @ p))
         assert abs(g - want.total) <= max(1e-9 * want.total, bound)
         single = 1.0 / m.indicator_single(spec, d, p, iv, band)
@@ -320,7 +333,8 @@ def test_multi_equals_single_for_one_direction(vertical_line, default_band):
     spec, d = _spectrum_for(vertical_line, math.pi / 2, default_band)
     iv = vertical_line.interval
     y = (0.3, 2.2)
-    want = 1.0 / m.picard_sum(spec, m.test_vector(d, y, iv, default_band)).total
+    want = 1.0 / ref.picard_sum(spec,
+                                ref.test_vector(d, y, iv, default_band)).total
     # the folded series and the term-by-term reference round differently:
     # here each sits within ~3e-11 (relative) of the exact sum
     assert m.indicator_single(spec, d, y, iv, default_band) == \
@@ -337,8 +351,8 @@ def test_multi_is_reciprocal_sum(vertical_line, default_band):
         spec, d = _spectrum_for(vertical_line, theta, default_band)
         specs.append(spec)
         dirs.append(d)
-        sums.append(m.picard_sum(
-            spec, m.test_vector(d, y, iv, default_band)).total)
+        sums.append(ref.picard_sum(
+            spec, ref.test_vector(d, y, iv, default_band)).total)
     got = m.indicator_multi(specs, dirs, y, iv, default_band)
     # the folded series against the term-by-term reference: each sits
     # within ~3e-11 (relative) of the exact sum at this point
@@ -433,7 +447,7 @@ def _reference_sum(spectra, directions, y, interval, band):
     """Term-by-term Picard sum over the directions and its rounding bound."""
     total = bound = 0.0
     for spec, d in zip(spectra, directions):
-        want = m.picard_sum(spec, m.test_vector(d, y, interval, band))
+        want = ref.picard_sum(spec, ref.test_vector(d, y, interval, band))
         total += want.total
         bound += _rounding_bound(spec, want, band, interval, float(d.vec @ y))
     return total, max(1e-9 * total, bound)

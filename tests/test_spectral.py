@@ -52,7 +52,7 @@ def test_build_operator_zero_samples():
 # ---------------------------------------------------------------------------
 
 def test_hermitian_parts_scalar():
-    re, im = m.hermitian_parts(np.array([[1j]]))
+    re, im = m.spectral.hermitian_parts(np.array([[1j]]))
     assert_allclose(re, [[0.0]], atol=0)
     assert_allclose(im, [[1.0]], atol=0)
 
@@ -60,7 +60,7 @@ def test_hermitian_parts_scalar():
 def test_hermitian_parts_random():
     rng = np.random.default_rng(5)
     F = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    re, im = m.hermitian_parts(F)
+    re, im = m.spectral.hermitian_parts(F)
     assert np.max(np.abs(re - re.conj().T)) <= 1e-14
     assert np.max(np.abs(im - im.conj().T)) <= 1e-14
     assert_allclose(re + 1j * im, F, atol=1e-15)
@@ -70,18 +70,18 @@ def test_hermitian_parts_of_hermitian_input():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     H = A + A.conj().T
-    re, im = m.hermitian_parts(H)
+    re, im = m.spectral.hermitian_parts(H)
     assert np.max(np.abs(im)) <= 1e-14
     assert_allclose(re, H, atol=1e-14)
 
 
 def test_hermitian_abs_diagonal():
-    assert_allclose(m.hermitian_abs(np.diag([3.0, -2.0])), np.diag([3.0, 2.0]),
-                    atol=1e-14)
+    assert_allclose(m.spectral.hermitian_abs(np.diag([3.0, -2.0])),
+                    np.diag([3.0, 2.0]), atol=1e-14)
 
 
 def test_hermitian_abs_swap():
-    got = m.hermitian_abs(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    got = m.spectral.hermitian_abs(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert_allclose(got, np.eye(2), atol=1e-14)
 
 
@@ -89,12 +89,13 @@ def test_hermitian_abs_psd_fixed_point():
     rng = np.random.default_rng(8)
     A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     P = A @ A.conj().T
-    assert np.max(np.abs(m.hermitian_abs(P) - P)) <= 1e-12 * np.max(np.abs(P))
+    assert np.max(np.abs(m.spectral.hermitian_abs(P) - P)) \
+        <= 1e-12 * np.max(np.abs(P))
 
 
 def test_hermitian_abs_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        m.hermitian_abs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        m.spectral.hermitian_abs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +114,8 @@ def test_rigorous_positive_and_trace_identity():
     rng = np.random.default_rng(9)
     F = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     spec = m.f_sharp_spectrum(F)
-    re, im = m.hermitian_parts(F)
-    f_sharp = m.hermitian_abs(re) + m.hermitian_abs(im)
+    re, im = m.spectral.hermitian_parts(F)
+    f_sharp = m.spectral.hermitian_abs(re) + m.spectral.hermitian_abs(im)
     assert np.all(spec.eigenvalues >= -1e-12 * spec.eigenvalues[0])
     assert np.sum(spec.eigenvalues) == pytest.approx(
         np.trace(f_sharp).real, abs=1e-10)
