@@ -38,7 +38,8 @@ WEIGHT_FLOOR = 1e-12
 MAX_OPERATOR_BYTES = 2 ** 26
 MAX_LATTICE_BYTES = 2 ** 27
 # Nodes of the far-field quadrature at k_max after its deepest refinement:
-# ~10^4 bytes per phase cycle, so at most ~6500 (shipped configs: <= 10).
+# ~10^4 bytes per panel, one per phase cycle and at least one per polyline
+# segment, so at most ~6500 cycles plus segments (shipped configs: <= 11).
 MAX_QUADRATURE_BYTES = 2 ** 26
 
 
@@ -203,13 +204,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
                          _field(spec, "band.count", _integral))
     _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
                 f"{band.n} x {band.n} complex operator")
-    # one quadrature panel per phase cycle, doubled MAX_REFINE times at most
+    # one quadrature panel per phase cycle and at least one per segment,
+    # all held at once, doubled MAX_REFINE times at most
     cycles = band.k_max * (1 + traj.speed_bound()) * traj.interval.duration \
         / TWO_PI
-    _check_size("band.k_max",
-                8 * forward.GL_ORDER * 2 ** forward.MAX_REFINE * cycles,
-                MAX_QUADRATURE_BYTES, f"quadrature of k_max (1 + max speed) "
-                f"T / 2 pi = {cycles:.6g} phase cycles")
+    segments = len(traj.breakpoints()) + 1
+    _check_size("band.k_max" if segments == 1
+                else "band.k_max, trajectory.times",
+                8 * forward.GL_ORDER * 2 ** forward.MAX_REFINE
+                * (cycles + segments), MAX_QUADRATURE_BYTES,
+                f"quadrature of k_max (1 + max speed) T / 2 pi = "
+                f"{cycles:.6g} phase cycles over {segments} segment(s)")
     if not np.any(np.abs(forward.band_weights(traj.interval, band))
                   > WEIGHT_FLOOR):
         raise ValidationError(
@@ -410,8 +415,8 @@ def cmd_classify(config: ExperimentConfig, out_dir) -> int:
 
 def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
     """Per-direction and truncated multi-direction indicator fields; every
-    field is computed before the output directory is made, so a run that
-    fails writes none."""
+    field is computed and checked for PGM output before the output
+    directory is made, so a run that fails writes none."""
     data = Path(data_dir) if data_dir else Path(config.output_dir)
     spectra = _load_spectra(config, data)
     directions = config.directions
@@ -447,6 +452,8 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
               file=sys.stderr)
     else:
         fields["field_multi"] = multi
+    for name, values in fields.items():
+        imaging.check_pgm_values(name, values)
 
     out = _out_dir(config, out_dir)
     ends = np.cumsum([g2.size for g2, _, _ in planes])[:-1]

@@ -6,7 +6,11 @@ integral of the retarded phase over the emission interval,
     w(x_hat, k) = integral_{t_min}^{t_max} exp(-i k (x_hat . a(t) + t)) dt,
 
 computed by composite Gauss-Legendre panels whose count tracks the
-oscillation number k * (1 + max|a'|) * T.  Negative wavenumbers follow from
+oscillation number k * (1 + max|a'|) * T.  The panels of every smooth
+piece of the orbit are evaluated together, so one refinement level costs a
+fixed number of numpy calls whatever the number of polyline segments; the
+piece-by-piece loop it replaced is the tests' reference
+(tests/quadrature_reference.py).  Negative wavenumbers follow from
 conjugate symmetry w(x_hat, -k) = conj(w(x_hat, k)) of real time signals.
 
 The positive band (0, k_max] is discretized at midpoints
@@ -120,29 +124,51 @@ class NoiseSpec:
 # Oscillatory quadrature
 # ---------------------------------------------------------------------------
 
+def _panel_edges(traj: Trajectory, rate: float, refine: int) -> np.ndarray:
+    """Edges of the quadrature panels of every smooth piece, in one array.
+
+    A piece [a, b] gets max(1, ceil(rate (b - a))) << refine panels, and
+    its edges are `np.linspace(a, b, panels + 1)`: edge i is
+    i * ((b - a) / panels) + a and the last one is b, which starts the
+    next piece.  Several pieces are built with that arithmetic in one pass;
+    a single piece calls `np.linspace`, which costs fewer numpy calls.
+    """
+    iv = traj.interval
+    breaks = traj.breakpoints()
+    if not len(breaks):
+        panels = max(1, math.ceil(rate * iv.duration)) << refine
+        return np.linspace(iv.t_min, iv.t_max, panels + 1)
+    bounds = np.concatenate(([iv.t_min], breaks, [iv.t_max]))
+    lengths = bounds[1:] - bounds[:-1]
+    panels = np.maximum(np.ceil(rate * lengths), 1.0).astype(np.intp) << refine
+    ends = panels.cumsum()
+    local = np.arange(ends[-1]) - (ends - panels).repeat(panels)
+    edges = np.empty(len(local) + 1)
+    np.add(local * (lengths / panels).repeat(panels),
+           bounds[:-1].repeat(panels), out=edges[:-1])
+    edges[-1] = iv.t_max
+    return edges
+
+
 def _phase_integral(traj: Trajectory, direction: Direction, k: float,
                     refine: int = 0) -> complex:
     """Gauss-Legendre panel evaluation of the far-field integral.
 
     Panels are split at velocity breakpoints; within each smooth piece the
     panel count keeps at least GL_ORDER nodes per phase oscillation, and
-    `refine` doublings shrink the panels further.
+    `refine` doublings shrink the panels further.  The nodes of all pieces
+    go through one `h_values`, one exponential and one sum, so a call
+    costs a fixed number of numpy calls whatever the number of pieces.
     """
-    iv = traj.interval
     rate = abs(k) * (1.0 + traj.speed_bound()) / (2.0 * math.pi)  # osc per unit time
-    bounds = [iv.t_min, *traj.breakpoints().tolist(), iv.t_max]
+    edges = _panel_edges(traj, rate, refine)
     gl_nodes, gl_weights = _gauss_legendre()
-    total = 0.0 + 0.0j
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        panels = max(1, int(math.ceil(rate * (b - a)))) << refine
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        ts = (mids[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
-        phases = h_values(traj, direction, ts)
-        w = (half[:, None] * gl_weights[None, :]).ravel()
-        total += np.sum(w * np.exp(-1j * k * phases))
-    return complex(total)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    ts = (mids[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
+    phases = h_values(traj, direction, ts)
+    w = (half[:, None] * gl_weights[None, :]).ravel()
+    return complex((w * np.exp(-1j * k * phases)).sum())
 
 
 def far_field_value(traj: Trajectory, direction: Direction,

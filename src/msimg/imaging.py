@@ -280,16 +280,22 @@ def read_field_csv(path, grid: SearchGrid) -> ScalarField:
 _PGM_LEVELS = [str(v) for v in range(256)]
 
 
+def check_pgm_values(name, values: np.ndarray) -> None:
+    """Raise ValueError, naming `name`, unless every value is finite and
+    nonnegative, as a PGM heatmap needs."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name}: field has non-finite values; a PGM "
+                         "needs finite ones")
+    if np.any(values < 0):
+        raise ValueError(f"{name}: field has negative values; a PGM "
+                         "needs nonnegative ones")
+
+
 def write_pgm(path, fld: ScalarField) -> None:
     """8-bit max-normalized P2 heatmap; x1 left-right, x2 bottom-top."""
     if fld.grid.dim != 2:
         raise ValueError("PGM output is 2D only")
-    if not np.all(np.isfinite(fld.values)):
-        raise ValueError(f"{path}: field has non-finite values; a PGM "
-                         "needs finite ones")
-    if np.any(fld.values < 0):
-        raise ValueError(f"{path}: field has negative values; a PGM "
-                         "needs nonnegative ones")
+    check_pgm_values(path, fld.values)
     top = float(np.max(fld.values))
     scale = 255.0 / top if top > 0 else 0.0
     img = np.rint(fld.reshaped() * scale).astype(int)  # [i1, i2]

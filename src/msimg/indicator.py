@@ -27,8 +27,8 @@ spectrum, interval and band, a (2h, 2h) factor F with ||F u|| = ||R u||:
 the triangular factor of a Householder QR of R with rows sorted by
 decreasing norm and columns pivoted, the pivot order folded back into
 F's columns.  Every indicator evaluates ||F u||^2: one real
-matrix-vector product per point, and on a grid one exponential and h
-complex products per point, N^2 multiply-adds where R takes 2 N^2 and
+matrix-vector product per point, and on a grid one real cosine and sine
+and h complex products per point, N^2 multiply-adds where R takes 2 N^2 and
 the complex G 4 N^2.  The series is a trigonometric polynomial in
 x_hat . y with period 2 pi / dk, so a search region wider than that along
 x_hat sees the strip repeated (aliased).
@@ -76,7 +76,9 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
     for start in range(0, len(proj), POINT_CHUNK):
         block = proj[start:start + POINT_CHUNK]
         W = np.empty((h, len(block)), dtype=complex)
-        np.exp(-0.5j * band.dk * block, out=W[0])
+        t = (-0.5 * band.dk) * block  # w_1 = e^{i t}, cheaper as cos, sin
+        np.cos(t, out=W[0].real)
+        np.sin(t, out=W[0].imag)
         step = W[0] * W[0]
         for j in range(1, h):
             np.multiply(W[j - 1], step, out=W[j])

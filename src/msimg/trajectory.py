@@ -221,6 +221,8 @@ class PiecewiseLinear(Trajectory):
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "points", ps)
         object.__setattr__(self, "interval", TimeInterval(ts[0], ts[-1]))
+        object.__setattr__(self, "_speed_bound", float(np.max(
+            np.linalg.norm(self.velocities(), axis=1))))
 
     @property
     def dim(self) -> int:
@@ -241,7 +243,7 @@ class PiecewiseLinear(Trajectory):
         return self.times[1:-1].copy()
 
     def speed_bound(self):
-        return float(np.max(np.linalg.norm(self.velocities(), axis=1)))
+        return self._speed_bound
 
 
 class Sampled(PiecewiseLinear):

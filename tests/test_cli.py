@@ -391,6 +391,30 @@ def test_image_writes_nothing_on_a_numerical_error(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_image_writes_nothing_on_a_pgm_refusal(tmp_path, capsys,
+                                               monkeypatch):
+    # a zero Picard sum on the second direction makes field_2 infinite:
+    # the PGM check refuses it before field_1 is written
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(tmp_path, directions={"angles": [PI / 2, 0.0]})
+    data = tmp_path / "data"
+    assert _run("synth", "--config", path, "--out", data) == 0
+    kernel, seen = m.indicator.picard_sums_grid, []
+
+    def zero_on_second(spectrum, direction, *args):
+        seen.append(direction)
+        sums = kernel(spectrum, direction, *args)
+        if direction is not seen[0]:
+            sums[0] = 0.0
+        return sums
+
+    monkeypatch.setattr(m.indicator, "picard_sums_grid", zero_on_second)
+    out = tmp_path / "img"
+    assert _run("image", "--config", path, "--data", data, "--out", out) == 2
+    assert "field_2: field has non-finite values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_image_threads_match_serial(tmp_path, capsys, monkeypatch):
     # --threads is accepted, warned about and ignored
     monkeypatch.delenv("MSIMG_SEED", raising=False)
@@ -890,6 +914,24 @@ def test_config_size_guards_admit_the_bounds(tmp_path):
     assert cfg.band.n == _MAX_COUNT
     assert cfg.grid.resolution == (_MAX_SIDE_2D, _MAX_SIDE_2D)
     assert 8 * 3 * _MAX_SIDE_3D ** 3 <= cli.MAX_LATTICE_BYTES
+
+
+@pytest.mark.parametrize("vertices, refused", [(7000, True), (6000, False)])
+def test_polyline_quadrature_size_guard(tmp_path, capsys, vertices, refused):
+    # every segment gets a quadrature panel and all are held at once, so
+    # the vertex count counts against MAX_QUADRATURE_BYTES next to the
+    # ~6 phase cycles of this slow curve
+    ts = np.linspace(0.0, 2.0, vertices)
+    pts = np.stack([np.cos(ts), np.sin(ts)], axis=1)
+    path = _base_config(tmp_path, trajectory={
+        "variant": "piecewise", "times": ts.tolist(), "points": pts.tolist()})
+    if refused:
+        assert _run("classify", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert "trajectory.times" in err and f"{vertices - 1} segment" in err
+        assert f"bound of {cli.MAX_QUADRATURE_BYTES} bytes" in err
+    else:
+        assert cli.load_config(path).trajectory.times.shape == (vertices,)
 
 
 # ---------------------------------------------------------------------------

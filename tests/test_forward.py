@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
+import quadrature_reference as qref
 from msimg.forward import _phase_integral
 
 TWO_PI = 2 * math.pi
@@ -115,6 +116,71 @@ def test_quadrature_panel_halving_converged(vertical_line, default_band):
         a = _phase_integral(vertical_line, d, float(k), refine=3)
         b = _phase_integral(vertical_line, d, float(k), refine=4)
         assert abs(a - b) < 1e-8
+
+
+def _random_direction(rng, dim):
+    v = rng.normal(size=dim)
+    return m.Direction(v / np.linalg.norm(v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 3]), vertices=st.integers(2, 60),
+       seed=st.integers(0, 2 ** 32 - 1), k=st.floats(-40.0, 40.0),
+       refine=st.integers(0, 2))
+def test_one_pass_quadrature_matches_piecewise_reference(dim, vertices, seed,
+                                                        k, refine):
+    # the same nodes and weights as the piece-by-piece loop, summed in one
+    # np.sum: the weights are positive and sum to T, so the two orders of
+    # summation stay within 4 eps sum|w| = 4 eps T; with one piece (two
+    # vertices) the nodes, the sum and so the bits are the same
+    rng = np.random.default_rng(seed)
+    times = float(rng.uniform(0.0, 2.0)) \
+        + np.cumsum(rng.uniform(0.02, 0.5, vertices))
+    traj = m.PiecewiseLinear(times, rng.uniform(-1.5, 1.5, (vertices, dim)))
+    d = _random_direction(rng, dim)
+    # each piece's panel edges are np.linspace's, bit for bit
+    rate = abs(k) * (1.0 + traj.speed_bound()) / (2.0 * math.pi)
+    edges, start = m.forward._panel_edges(traj, rate, refine), 0
+    for a, b in zip(times[:-1], times[1:]):
+        n = max(1, math.ceil(rate * (b - a))) << refine
+        assert np.array_equal(edges[start:start + n + 1],
+                              np.linspace(a, b, n + 1))
+        start += n
+    assert start + 1 == len(edges)
+    got = _phase_integral(traj, d, k, refine)
+    want = qref.phase_integral(traj, d, k, refine)
+    if vertices == 2:
+        assert got == want
+    else:
+        assert abs(got - want) <= 4 * np.finfo(float).eps \
+            * traj.interval.duration
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(["line2d", "line3d", "arc"]),
+       seed=st.integers(0, 2 ** 32 - 1), k=st.floats(-40.0, 40.0),
+       refine=st.integers(0, 2))
+def test_one_pass_quadrature_bit_equal_on_smooth_orbits(variant, seed, k,
+                                                       refine):
+    rng = np.random.default_rng(seed)
+    t0 = float(rng.uniform(0.0, 2.0))
+    iv = m.TimeInterval(t0, t0 + float(rng.uniform(0.1, 4.0)))
+    if variant == "arc":
+        traj = m.Arc(center=rng.uniform(-2, 2, 2), interval=iv,
+                     radius=float(rng.uniform(0.2, 3.0)),
+                     phase=float(rng.uniform(0, TWO_PI)),
+                     orientation=int(rng.choice([1, -1])))
+    elif variant == "line2d":
+        traj = m.Line(float(rng.uniform(0, 5)), interval=iv,
+                      angle=float(rng.uniform(0, TWO_PI)),
+                      offset=rng.uniform(-2, 2, 2))
+    else:
+        traj = m.Line(float(rng.uniform(0, 5)), interval=iv,
+                      axis=_random_direction(rng, 3).vec,
+                      offset=rng.uniform(-2, 2, 3))
+    d = _random_direction(rng, traj.dim)
+    assert _phase_integral(traj, d, k, refine) \
+        == qref.phase_integral(traj, d, k, refine)
 
 
 def test_translation_covariance():

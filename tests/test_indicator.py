@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_max_ulp
 
 import msimg as m
 import picard_reference as ref
@@ -235,6 +235,21 @@ def test_picard_sums_grid_split_at_chunks_bit_identical(vertical_line,
                  (2 * POINT_CHUNK, len(pts))):
         part = m.picard_sums_grid(spec, d, pts[a:b], iv, default_band)
         assert np.array_equal(part, full[a:b])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 72), k_max=st.floats(0.1, 60.0),
+       proj=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
+def test_picard_seed_matches_complex_exp(n, k_max, proj):
+    # the grid kernel seeds w_1 = e^{-i dk p / 2} as the cosine and sine
+    # of t = (-dk / 2) p; the complex exponential of -0.5j dk p it
+    # replaces agrees within 1 ulp in each part
+    dk = m.FrequencyBand(k_max, n).dk
+    p = np.array(proj)
+    t = (-0.5 * dk) * p
+    want = np.exp(-0.5j * dk * p)
+    assert_array_max_ulp(np.cos(t), want.real, 1)
+    assert_array_max_ulp(np.sin(t), want.imag, 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
