@@ -38,8 +38,7 @@ WEIGHT_FLOOR = 1e-12
 MAX_OPERATOR_BYTES = 2 ** 26
 MAX_LATTICE_BYTES = 2 ** 27
 # Nodes of the far-field quadrature at k_max after its deepest refinement:
-# ~10^4 bytes per panel, one per phase cycle and at least one per polyline
-# segment, so at most ~6500 cycles plus segments (shipped configs: <= 11).
+# ~10^4 bytes per phase cycle, so at most ~6500 (shipped configs: <= 10).
 MAX_QUADRATURE_BYTES = 2 ** 26
 
 
@@ -204,17 +203,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                          _field(spec, "band.count", _integral))
     _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
                 f"{band.n} x {band.n} complex operator")
-    # one quadrature panel per phase cycle and at least one per segment,
-    # all held at once, doubled MAX_REFINE times at most
+    # one quadrature panel per phase cycle, doubled MAX_REFINE times at most
     cycles = band.k_max * (1 + traj.speed_bound()) * traj.interval.duration \
         / TWO_PI
-    segments = len(traj.breakpoints()) + 1
-    _check_size("band.k_max" if segments == 1
-                else "band.k_max, trajectory.times",
-                8 * forward.GL_ORDER * 2 ** forward.MAX_REFINE
-                * (cycles + segments), MAX_QUADRATURE_BYTES,
-                f"quadrature of k_max (1 + max speed) T / 2 pi = "
-                f"{cycles:.6g} phase cycles over {segments} segment(s)")
+    _check_size("band.k_max",
+                8 * forward.GL_ORDER * 2 ** forward.MAX_REFINE * cycles,
+                MAX_QUADRATURE_BYTES, f"quadrature of k_max (1 + max speed) "
+                f"T / 2 pi = {cycles:.6g} phase cycles")
     if not np.any(np.abs(forward.band_weights(traj.interval, band))
                   > WEIGHT_FLOOR):
         raise ValidationError(

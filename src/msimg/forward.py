@@ -7,11 +7,12 @@ integral of the retarded phase over the emission interval,
 
 computed by composite Gauss-Legendre panels whose count tracks the
 oscillation number k * (1 + max|a'|) * T.  The panels of every smooth
-piece of the orbit are evaluated together, so one refinement level costs a
-fixed number of numpy calls whatever the number of polyline segments; the
-piece-by-piece loop it replaced is the tests' reference
-(tests/quadrature_reference.py).  Negative wavenumbers follow from
-conjugate symmetry w(x_hat, -k) = conj(w(x_hat, k)) of real time signals.
+piece of the orbit are evaluated together, in batches of PANEL_BATCH, so
+one refinement level costs a fixed number of numpy calls per batch
+whatever the number of polyline segments; the piece-by-piece loop it
+replaced is the tests' reference (tests/quadrature_reference.py).
+Negative wavenumbers follow from conjugate symmetry
+w(x_hat, -k) = conj(w(x_hat, k)) of real time signals.
 
 The positive band (0, k_max] is discretized at midpoints
 k_n = (n - 1/2) dk, dk = k_max / N; these samples feed the spectral module.
@@ -30,6 +31,9 @@ from .trajectory import Direction, TimeInterval, Trajectory, h_values
 QUAD_TOL = 1e-10
 GL_ORDER = 20
 MAX_REFINE = 6   # panel doublings before the quadrature gives up
+# Panels whose nodes are evaluated together: bounds the quadrature's
+# arrays (~6 MB) however many segments a polyline has.
+PANEL_BATCH = 2 ** 12
 
 
 @functools.cache
@@ -128,17 +132,12 @@ def _panel_edges(traj: Trajectory, rate: float, refine: int) -> np.ndarray:
     """Edges of the quadrature panels of every smooth piece, in one array.
 
     A piece [a, b] gets max(1, ceil(rate (b - a))) << refine panels, and
-    its edges are `np.linspace(a, b, panels + 1)`: edge i is
+    its edges are `np.linspace(a, b, panels + 1)`'s: edge i is
     i * ((b - a) / panels) + a and the last one is b, which starts the
-    next piece.  Several pieces are built with that arithmetic in one pass;
-    a single piece calls `np.linspace`, which costs fewer numpy calls.
+    next piece.
     """
     iv = traj.interval
-    breaks = traj.breakpoints()
-    if not len(breaks):
-        panels = max(1, math.ceil(rate * iv.duration)) << refine
-        return np.linspace(iv.t_min, iv.t_max, panels + 1)
-    bounds = np.concatenate(([iv.t_min], breaks, [iv.t_max]))
+    bounds = np.concatenate(([iv.t_min], traj.breakpoints(), [iv.t_max]))
     lengths = bounds[1:] - bounds[:-1]
     panels = np.maximum(np.ceil(rate * lengths), 1.0).astype(np.intp) << refine
     ends = panels.cumsum()
@@ -156,19 +155,24 @@ def _phase_integral(traj: Trajectory, direction: Direction, k: float,
 
     Panels are split at velocity breakpoints; within each smooth piece the
     panel count keeps at least GL_ORDER nodes per phase oscillation, and
-    `refine` doublings shrink the panels further.  The nodes of all pieces
-    go through one `h_values`, one exponential and one sum, so a call
-    costs a fixed number of numpy calls whatever the number of pieces.
+    `refine` doublings shrink the panels further.  The panels of all pieces
+    go through one `h_values`, one exponential and one sum per batch of
+    PANEL_BATCH, so a call costs a fixed number of numpy calls per batch
+    whatever the number of pieces, and holds at most one batch of nodes.
     """
     rate = abs(k) * (1.0 + traj.speed_bound()) / (2.0 * math.pi)  # osc per unit time
     edges = _panel_edges(traj, rate, refine)
     gl_nodes, gl_weights = _gauss_legendre()
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    ts = (mids[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
-    phases = h_values(traj, direction, ts)
-    w = (half[:, None] * gl_weights[None, :]).ravel()
-    return complex((w * np.exp(-1j * k * phases)).sum())
+    total = 0.0 + 0.0j
+    for start in range(0, len(edges) - 1, PANEL_BATCH):
+        batch = edges[start:start + PANEL_BATCH + 1]
+        half = 0.5 * (batch[1:] - batch[:-1])
+        mids = 0.5 * (batch[1:] + batch[:-1])
+        ts = (mids[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
+        phases = h_values(traj, direction, ts)
+        w = (half[:, None] * gl_weights[None, :]).ravel()
+        total += (w * np.exp(-1j * k * phases)).sum()
+    return complex(total)
 
 
 def far_field_value(traj: Trajectory, direction: Direction,

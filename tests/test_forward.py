@@ -130,9 +130,11 @@ def _random_direction(rng, dim):
 def test_one_pass_quadrature_matches_piecewise_reference(dim, vertices, seed,
                                                         k, refine):
     # the same nodes and weights as the piece-by-piece loop, summed in one
-    # np.sum: the weights are positive and sum to T, so the two orders of
-    # summation stay within 4 eps sum|w| = 4 eps T; with one piece (two
-    # vertices) the nodes, the sum and so the bits are the same
+    # np.sum instead of one per piece; the weights are positive and sum to
+    # T.  The 4 eps T tolerance is measured, not derived: the worst of
+    # 3,000 seeded cases differed by 1.03 eps T (a worst-case bound grows
+    # with the number of pieces).  With one piece (two vertices) the
+    # nodes, the sum and so the bits are the same
     rng = np.random.default_rng(seed)
     times = float(rng.uniform(0.0, 2.0)) \
         + np.cumsum(rng.uniform(0.02, 0.5, vertices))
@@ -181,6 +183,42 @@ def test_one_pass_quadrature_bit_equal_on_smooth_orbits(variant, seed, k,
     d = _random_direction(rng, traj.dim)
     assert _phase_integral(traj, d, k, refine) \
         == qref.phase_integral(traj, d, k, refine)
+
+
+def test_quadrature_batches_bound_the_nodes(monkeypatch):
+    # a 7,000-vertex polyline at the deepest refinement: every h_values
+    # call holds at most one batch of nodes, and the batched sum stays
+    # within 4 eps T of the piece-by-piece loop
+    ts = np.linspace(0.0, 2.0, 7000)
+    traj = m.PiecewiseLinear(ts, np.stack([np.cos(ts), np.sin(ts)], axis=1))
+    d = m.Direction.from_angle(0.7)
+    sizes, h_values = [], m.forward.h_values
+
+    def recording(traj, direction, nodes):
+        sizes.append(len(nodes))
+        return h_values(traj, direction, nodes)
+
+    monkeypatch.setattr(m.forward, "h_values", recording)
+    got = _phase_integral(traj, d, 30.0, m.forward.MAX_REFINE)
+    assert len(sizes) > 1
+    assert max(sizes) == m.forward.PANEL_BATCH * m.forward.GL_ORDER
+    want = qref.phase_integral(traj, d, 30.0, m.forward.MAX_REFINE)
+    assert abs(got - want) <= 4 * np.finfo(float).eps * 2.0
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64])
+def test_quadrature_batch_size_only_reorders_the_sum(monkeypatch, batch):
+    # batch edges fall inside pieces and between them; the panels and
+    # nodes are the same, so only the order of summation moves
+    rng = np.random.default_rng(batch)
+    times = np.cumsum(rng.uniform(0.02, 0.5, 12))
+    traj = m.PiecewiseLinear(times, rng.uniform(-1.5, 1.5, (12, 2)))
+    d = m.Direction.from_angle(2.1)
+    want = qref.phase_integral(traj, d, 17.0, 1)
+    monkeypatch.setattr(m.forward, "PANEL_BATCH", batch)
+    got = _phase_integral(traj, d, 17.0, 1)
+    assert abs(got - want) <= 4 * np.finfo(float).eps \
+        * traj.interval.duration
 
 
 def test_translation_covariance():
