@@ -134,18 +134,17 @@ def _panel_edges(traj: Trajectory, rate: float, refine: int) -> np.ndarray:
     A piece [a, b] gets max(1, ceil(rate (b - a))) << refine panels, and
     its edges are `np.linspace(a, b, panels + 1)`'s: edge i is
     i * ((b - a) / panels) + a and the last one is b, which starts the
-    next piece.
+    next piece.  The pieces' bounds and lengths are the trajectory's own
+    (Trajectory.pieces), kept from the first build.
     """
-    iv = traj.interval
-    bounds = np.concatenate(([iv.t_min], traj.breakpoints(), [iv.t_max]))
-    lengths = bounds[1:] - bounds[:-1]
+    bounds, lengths = traj.pieces
     panels = np.maximum(np.ceil(rate * lengths), 1.0).astype(np.intp) << refine
     ends = panels.cumsum()
     local = np.arange(ends[-1]) - (ends - panels).repeat(panels)
     edges = np.empty(len(local) + 1)
     np.add(local * (lengths / panels).repeat(panels),
            bounds[:-1].repeat(panels), out=edges[:-1])
-    edges[-1] = iv.t_max
+    edges[-1] = bounds[-1]
     return edges
 
 

@@ -277,7 +277,11 @@ def read_field_csv(path, grid: SearchGrid) -> ScalarField:
     return ScalarField(grid, values)
 
 
-_PGM_LEVELS = [str(v) for v in range(256)]
+# The 4-byte cell of a PGM pixel of level v, " v" NUL-padded, read as one
+# uint32; cell 256 ends a row
+_PGM_CELLS = np.frombuffer(b"".join(f" {v}".encode().ljust(4, b"\0")
+                                    for v in range(256)) + b"\n\0\0\0",
+                           np.uint32)
 
 
 def check_pgm_values(name, values: np.ndarray) -> None:
@@ -292,15 +296,25 @@ def check_pgm_values(name, values: np.ndarray) -> None:
 
 
 def write_pgm(path, fld: ScalarField) -> None:
-    """8-bit max-normalized P2 heatmap; x1 left-right, x2 bottom-top."""
+    """8-bit max-normalized P2 heatmap; x1 left-right, x2 bottom-top.
+
+    The image is laid out as a matrix of 4-byte cells: each row holds the
+    `_PGM_CELLS` of its levels, then the row end.  The row's first byte
+    (the space before its first level) and the cells' padding are NUL, and
+    one `translate` drops them.
+    """
     if fld.grid.dim != 2:
         raise ValueError("PGM output is 2D only")
     check_pgm_values(path, fld.values)
     top = float(np.max(fld.values))
     scale = 255.0 / top if top > 0 else 0.0
-    img = np.rint(fld.reshaped() * scale).astype(int)  # [i1, i2]
+    img = np.rint(fld.reshaped() * scale).astype(np.uint8)  # [i1, i2]
     rows = img.T[::-1]  # top row = largest x2
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"P2\n{rows.shape[1]} {rows.shape[0]}\n255\n")
-        for row in rows.tolist():
-            f.write(" ".join([_PGM_LEVELS[v] for v in row]) + "\n")
+    height, width = rows.shape
+    cells = np.empty((height, width + 1), np.uint32)
+    np.take(_PGM_CELLS, rows, out=cells[:, :-1])
+    cells[:, -1] = _PGM_CELLS[256]
+    cells.view(np.uint8)[:, 0] = 0
+    with open(path, "wb") as f:
+        f.write(f"P2\n{width} {height}\n255\n".encode())
+        f.write(cells.tobytes().translate(None, b"\0"))

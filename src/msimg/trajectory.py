@@ -20,6 +20,7 @@ convex bounding domain of the orbit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,6 +110,16 @@ class Trajectory:
     def breakpoints(self) -> np.ndarray:
         """Interior times where the velocity may jump (empty for smooth orbits)."""
         return np.array([])
+
+    @functools.cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds [t_min, breakpoints..., t_max] of the smooth pieces and
+        the pieces' lengths; computed once, read-only."""
+        iv = self.interval
+        bounds = np.concatenate(([iv.t_min], self.breakpoints(), [iv.t_max]))
+        lengths = bounds[1:] - bounds[:-1]
+        bounds.flags.writeable = lengths.flags.writeable = False
+        return bounds, lengths
 
     def speed_bound(self) -> float:
         """Upper bound on |a'(t)| over the interval."""
@@ -204,25 +215,36 @@ class Arc(Trajectory):
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinear(Trajectory):
-    """Polyline orbit through (time, point) breakpoints, linear in between."""
+    """Polyline orbit through (time, point) breakpoints, linear in between.
+
+    It holds read-only copies of the times and points it is given, so the
+    velocities, speed bound and pieces it derives from them once stay
+    theirs.
+    """
 
     times: np.ndarray
     points: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.times, dtype=float)
-        ps = np.asarray(self.points, dtype=float)
+        # C order: points.dot in _range_of then rounds as on the C-ordered
+        # array positions() returns
+        ts = np.array(self.times, dtype=float)
+        ps = np.array(self.points, dtype=float, order="C")
         if ts.ndim != 1 or len(ts) < 2:
             raise ValueError("need at least two breakpoints")
-        if np.any(np.diff(ts) <= 0):
+        steps = np.diff(ts)
+        if np.any(steps <= 0):
             raise ValueError("breakpoint times must be strictly increasing")
         if ps.shape[0] != len(ts) or ps.ndim != 2 or ps.shape[1] not in (2, 3):
             raise ValueError("points must be (n, 2) or (n, 3) matching times")
+        vel = np.diff(ps, axis=0) / steps[:, None]
+        ts.flags.writeable = ps.flags.writeable = vel.flags.writeable = False
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "points", ps)
         object.__setattr__(self, "interval", TimeInterval(ts[0], ts[-1]))
+        object.__setattr__(self, "_velocities", vel)
         object.__setattr__(self, "_speed_bound", float(np.max(
-            np.linalg.norm(self.velocities(), axis=1))))
+            np.linalg.norm(vel, axis=1))))
 
     @property
     def dim(self) -> int:
@@ -236,8 +258,9 @@ class PiecewiseLinear(Trajectory):
         return out
 
     def velocities(self) -> np.ndarray:
-        """Velocity on each segment [times[i], times[i+1]], shape (n-1, dim)."""
-        return np.diff(self.points, axis=0) / np.diff(self.times)[:, None]
+        """Velocity on each segment [times[i], times[i+1]], shape (n-1, dim),
+        computed once; the array is read-only."""
+        return self._velocities
 
     def breakpoints(self):
         return self.times[1:-1].copy()
@@ -304,19 +327,6 @@ def _arc_critical_times(traj: Arc, direction: Direction, c: float):
     return out
 
 
-def _critical_times(traj: Trajectory, direction: Direction,
-                    c: float) -> list[float]:
-    """Interior times where c*t + x_hat . a(t) can have an extremum.
-
-    It is affine on a Line (no breakpoints), affine between the vertices
-    of a polyline and sinusoidal, with closed-form turning points, on an
-    Arc.
-    """
-    if isinstance(traj, Arc):
-        return _arc_critical_times(traj, direction, c)
-    return [float(b) for b in traj.breakpoints()]
-
-
 def division_points(traj: Trajectory, direction: Direction) -> list[float]:
     """Interior times where h' changes sign or a zero plateau starts/ends.
 
@@ -337,20 +347,37 @@ def division_points(traj: Trajectory, direction: Direction) -> list[float]:
         if _sign3(1.0 - traj.radius) >= 0:
             return []
         return sorted(_arc_critical_times(traj, direction, 1.0))
-    signs = [_sign3(s) for s in 1.0 + traj.velocities() @ direction.vec]
+    slopes = 1.0 + traj.velocities().dot(direction.vec)
+    signs = [_sign3(s) for s in slopes.tolist()]
     return [float(traj.times[i]) for i in range(1, len(signs))
             if signs[i - 1] != signs[i]]
 
 
 def _range_of(traj: Trajectory, direction: Direction, c: float):
     """Exact range of c*t + x_hat . a(t) over the interval, c in {0, 1}:
-    of h for c = 1, of the projection x_hat . a for c = 0."""
+    of h for c = 1, of the projection x_hat . a for c = 0.
+
+    The function is read only where it can turn.  A polyline is affine
+    between its vertices, so its range is that of the vertex values
+    `points @ x_hat` (plus `times` for h), one matrix-vector product.  A
+    Line is affine throughout and is read at its two endpoints; an Arc at
+    its endpoints and the closed-form turning times of
+    _arc_critical_times.  The values are reduced by Python min and max,
+    cheaper than numpy's reductions on so few values.
+    """
     _check_dims(traj, direction)
-    iv = traj.interval
-    ts = np.array([iv.t_min, iv.t_max, *_critical_times(traj, direction, c)])
-    vals = (h_values(traj, direction, ts) if c
-            else traj.positions(ts) @ direction.vec)
-    return float(np.min(vals)), float(np.max(vals))
+    # ndarray.dot: the same product as @, with less call overhead
+    if isinstance(traj, PiecewiseLinear):
+        ts, proj = traj.times, traj.points.dot(direction.vec)
+    else:
+        iv = traj.interval
+        ts = [iv.t_min, iv.t_max]
+        if isinstance(traj, Arc):
+            ts += _arc_critical_times(traj, direction, c)
+        ts = np.array(ts)
+        proj = traj.positions(ts).dot(direction.vec)
+    vals = (ts + proj if c else proj).tolist()
+    return min(vals), max(vals)
 
 
 @dataclass(frozen=True)

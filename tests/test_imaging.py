@@ -424,6 +424,33 @@ def test_pgm_format(tmp_path):
     assert lines[4].split() == ["0", "85", "170"]
 
 
+def _pgm_by_rows(fld) -> bytes:
+    """The PGM text built row by row, one join of level texts per row."""
+    top = float(np.max(fld.values))
+    scale = 255.0 / top if top > 0 else 0.0
+    rows = np.rint(fld.reshaped() * scale).astype(int).T[::-1]
+    lines = [f"P2\n{rows.shape[1]} {rows.shape[0]}\n255"]
+    lines += [" ".join(str(v) for v in row) for row in rows.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+       seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(
+           ["uniform", "skewed", "levels", "zero"]))
+def test_pgm_bytes_match_row_join(tmp_path_factory, shape, seed, kind):
+    grid = m.make_grid([(0, 1), (-1, 2)], shape)
+    rng = np.random.default_rng(seed)
+    values = {"uniform": lambda: rng.uniform(0, 5, grid.size),
+              "skewed": lambda: rng.uniform(0, 1, grid.size) ** 8,
+              "levels": lambda: rng.integers(0, 3, grid.size).astype(float),
+              "zero": lambda: np.zeros(grid.size)}[kind]()
+    fld = m.ScalarField(grid, values)
+    path = tmp_path_factory.mktemp("pgm") / "f.pgm"
+    m.write_pgm(path, fld)
+    assert path.read_bytes() == _pgm_by_rows(fld)
+
+
 def test_pgm_rejects_3d(tmp_path):
     grid = m.make_grid([(0, 1)] * 3, (3, 3, 3))
     fld = m.ScalarField(grid, np.zeros(grid.size))

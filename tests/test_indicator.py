@@ -529,3 +529,47 @@ def test_folded_operator_kept_per_interval_and_band(vertical_line,
     monkeypatch.undo()
     c = spec.picard_operator(m.TimeInterval(1, 2.5), default_band)
     assert c is not a and not np.array_equal(c, a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 3]), n=st.sampled_from([1, 2, 18, 72]),
+       mode=st.sampled_from([m.MODE_RIGOROUS, m.MODE_PAPER]),
+       y=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+       order=st.permutations(range(3)))
+def test_multi_any_direction_order_matches_picard_sum(dim, n, mode, y, order):
+    traj, band, spectra = _query_spectra(dim, n, mode)
+    iv, y = traj.interval, np.array(y[:dim])
+    base = m.indicator_multi(spectra, _DIRECTIONS[dim], y, iv, band)
+    spectra = [spectra[j] for j in order]
+    dirs = [_DIRECTIONS[dim][j] for j in order]
+    got = m.indicator_multi(spectra, dirs, y, iv, band)
+    # any order sums the term-by-term series within _reference_sum's
+    # first-order rounding bound, a multiple of eps
+    want, tol = _reference_sum(spectra, dirs, y, iv, band)
+    assert abs(1.0 / got - want) <= tol
+    # a direction's series keeps its bits in any position, so two orders
+    # differ only in adding the D = 3 series: D - 1 roundings of eps / 2
+    # (relative) each way, and one more in each reciprocal, D eps in all
+    assert abs(got - base) <= len(dirs) * np.finfo(float).eps * base
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([2, 3]), n=st.sampled_from([1, 2, 18, 72]),
+       mode=st.sampled_from([m.MODE_RIGOROUS, m.MODE_PAPER]),
+       y=st.lists(st.floats(-20.0, 20.0), min_size=3, max_size=3),
+       j=st.integers(0, 2))
+def test_single_is_multi_of_one_direction(dim, n, mode, y, j):
+    traj, band, spectra = _query_spectra(dim, n, mode)
+    d, iv, y = _DIRECTIONS[dim][j], traj.interval, np.array(y[:dim])
+    assert m.indicator_single(spectra[j], d, y, iv, band) \
+        == m.indicator_multi([spectra[j]], [d], y, iv, band)
+
+
+def test_phase_rates_kept_per_band():
+    band = m.FrequencyBand(3 * math.pi, 7)
+    rates = m.indicator._phase_rates(band)
+    assert rates is m.indicator._phase_rates(m.FrequencyBand(3 * math.pi, 7))
+    assert not rates.flags.writeable
+    # w_j = e^{rate_j x_hat . y}, j = 1..ceil(N / 2), rate_j = -i dk (j - 1/2)
+    assert_allclose(rates, -1j * band.dk * (np.arange(1, 5) - 0.5),
+                    rtol=0, atol=0)

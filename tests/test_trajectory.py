@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
+import range_reference as rref
 from msimg.trajectory import PLATEAU_TOL, angle_in_set
 
 TWO_PI = 2 * math.pi
@@ -574,3 +576,77 @@ def test_polyline_division_points_are_slope_sign_flips(case):
     flips = [float(traj.times[i + 1]) for i in range(len(slopes) - 1)
              if signs[i] != signs[i + 1]]
     assert m.division_points(traj, d) == flips
+
+
+@st.composite
+def _polyline_and_direction(draw):
+    """A 2D or 3D polyline of 2-60 vertices and a matching direction.
+
+    Coordinates and time steps are either general floats or small
+    integers, so that ties between vertex values (and signed zeros) occur;
+    the points come in C or Fortran order.
+    """
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        coord, gap = _floats(-3.0, 3.0), _floats(0.05, 2.0)
+    else:
+        coord, gap = st.integers(-2, 2).map(float), st.integers(1, 3).map(float)
+    times = draw(_floats(0.0, 2.0)) + np.concatenate(
+        ([0.0], np.cumsum(draw(st.lists(gap, min_size=n - 1,
+                                        max_size=n - 1)))))
+    points = np.array(draw(st.lists(st.lists(coord, min_size=dim,
+                                             max_size=dim),
+                                    min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        points = np.asfortranarray(points)
+    cls = draw(st.sampled_from([m.PiecewiseLinear, m.Sampled]))
+    if dim == 2:
+        d = m.Direction.from_angle(draw(st.one_of(
+            _floats(0.0, TWO_PI), st.sampled_from([0.0, math.pi / 2,
+                                                   math.pi, math.pi / 4]))))
+    else:
+        d = m.Direction.from_angles(draw(_floats(0.0, math.pi)),
+                                    draw(_floats(0.0, TWO_PI)))
+    return cls(times, points), d
+
+
+def _bits(*values):
+    """Exact text of each float, the sign of a zero included."""
+    return [float(v).hex() for v in values]
+
+
+def _range_queries(traj, d):
+    rep = m.xi_extrema(traj, d)
+    s = m.strip(traj, d)
+    return (_bits(rep.xi_min, rep.xi_max, rep.duration), rep.observable,
+            m.classify(traj, d), _bits(s.lo, s.hi),
+            _bits(*m.projection_hull(traj, d)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_polyline_and_direction())
+def test_vertex_ranges_equal_interpolating_reference(case):
+    # a polyline's range is read at its vertices; the interpolating path
+    # it replaced gives the same bits for every query built on the range
+    traj, d = case
+    got = _range_queries(traj, d)
+    with mock.patch.object(m.trajectory, "_range_of", rref.range_of):
+        want = _range_queries(traj, d)
+    assert got == want
+
+
+def test_polyline_holds_read_only_copies():
+    # velocities, speed bound and pieces are derived once; editing the
+    # caller's arrays afterwards must not leave them stale
+    times, points = np.array([0.0, 1.0, 2.0]), np.array([[3.0, 3], [2, 2],
+                                                         [3, 1]])
+    traj = m.PiecewiseLinear(times, points)
+    v = traj.velocities()
+    assert v is traj.velocities()
+    assert_allclose(v, [[-1.0, -1.0], [1.0, -1.0]], rtol=0, atol=0)
+    times[2], points[2] = 5.0, (10.0, 0.0)
+    assert traj.times[2] == 2.0 and traj.points[2].tolist() == [3.0, 1.0]
+    assert m.projection_hull(traj, m.Direction.from_angle(0.0)) == (2.0, 3.0)
+    for a in (traj.times, traj.points, v, *traj.pieces):
+        assert not a.flags.writeable
