@@ -69,16 +69,16 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
     (Spectrum.picard_operator) and u = (Re w_j, Im w_j)_{j=1..h},
     w_j = e^{-i (j - 1/2) dk x_hat . y}.  The w_j are running products of
     w_1 and w_1^2, built per block of POINT_CHUNK points, so memory stays
-    bounded by the block.  The result is periodic in x_hat . y with
-    period 2 pi / dk.
+    bounded by the block; each block's projections x_hat . y are taken
+    from its own rows of `points`.  The result is periodic in x_hat . y
+    with period 2 pi / dk.
     """
     points = np.asarray(points, dtype=float)
-    proj = points @ direction.vec
     F = spectrum.picard_operator(interval, band)
     h = F.shape[1] // 2
-    sums = np.empty(len(proj))
-    for start in range(0, len(proj), POINT_CHUNK):
-        block = proj[start:start + POINT_CHUNK]
+    sums = np.empty(len(points))
+    for start in range(0, len(points), POINT_CHUNK):
+        block = points[start:start + POINT_CHUNK] @ direction.vec
         W = np.empty((h, len(block)), dtype=complex)
         t = (-0.5 * band.dk) * block  # w_1 = e^{i t}, cheaper as cos, sin
         np.cos(t, out=W[0].real)
@@ -159,20 +159,30 @@ def indicator_values(sums: np.ndarray) -> np.ndarray:
 def combine_directions(grid_sums, threshold: float = DEFAULT_THRESHOLD):
     """Truncated multi-direction indicator from per-direction grid sums.
 
-    `grid_sums` holds one Picard-sum array per direction over the whole
-    search grid.  Returns (values, kept_indices); `values` is the
-    reciprocal of the summed series of the kept directions, or None when
-    the filter drops every direction.  The kept sums are added in kept
-    order into one new array, which indicator_values then inverts;
-    `grid_sums` is left as it is.
+    `grid_sums` yields one Picard-sum array per direction over the whole
+    search grid; a list or a generator.  Returns (values, kept_indices);
+    `values` is the reciprocal of the summed series of the kept
+    directions, or None when the filter drops every direction.  Each
+    direction is tested by direction_filter as it comes, and the kept
+    sums are added in kept order into one new array (a copy of the first
+    kept), which indicator_values then inverts; the arrays given are left
+    as they are.  A direction's sums are released before the next are
+    drawn, so from a generator at most one direction's sums are held
+    beside the total.
     """
-    kept = direction_filter(grid_sums, threshold)
-    if not kept:
-        return None, kept
-    total = np.array(grid_sums[kept[0]], dtype=float)
-    for j in kept[1:]:
-        total += grid_sums[j]
-    return indicator_values(total), kept
+    # no enumerate: the result tuple it reuses would keep the last sums
+    # alive while the next are built
+    total, kept, j = None, [], 0
+    for sums in grid_sums:
+        if direction_filter([sums], threshold):
+            kept.append(j)
+            if total is None:
+                total = np.array(sums, dtype=float)
+            else:
+                total += sums
+        del sums
+        j += 1
+    return (None if total is None else indicator_values(total)), kept
 
 
 def filtered_field_values(spectra, directions, points: np.ndarray,
@@ -181,8 +191,10 @@ def filtered_field_values(spectra, directions, points: np.ndarray,
     """Grid values of the truncated multi-direction indicator.
 
     Returns (values, kept_indices); `values` is None when every direction
-    is dropped by the filter.
+    is dropped by the filter.  combine_directions draws the directions'
+    picard_sums_grid one at a time, so at most one direction's sums are
+    held beside the running total.
     """
     return combine_directions(
-        [picard_sums_grid(spec, d, points, interval, band)
-         for spec, d in zip(spectra, directions)], threshold)
+        (picard_sums_grid(spec, d, points, interval, band)
+         for spec, d in zip(spectra, directions)), threshold)

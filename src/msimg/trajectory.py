@@ -121,6 +121,16 @@ class Trajectory:
         bounds.flags.writeable = lengths.flags.writeable = False
         return bounds, lengths
 
+    @functools.cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Times [t_min, t_max] and the positions there, shape (2, dim);
+        computed once, read-only."""
+        iv = self.interval
+        ts = np.array([iv.t_min, iv.t_max])
+        ps = self.positions(ts)
+        ts.flags.writeable = ps.flags.writeable = False
+        return ts, ps
+
     def speed_bound(self) -> float:
         """Upper bound on |a'(t)| over the interval."""
         raise NotImplementedError
@@ -131,6 +141,8 @@ class Line(Trajectory):
     """Uniform straight-line motion offset + speed*t*unit.
 
     2D lines are built from a heading angle, 3D lines from a unit axis.
+    It holds read-only copies of its axis and offset, so the endpoint
+    positions it keeps (`ends`) stay its own.
     """
 
     speed: float
@@ -147,16 +159,17 @@ class Line(Trajectory):
         if self.angle is not None:
             unit = np.array([math.cos(self.angle), math.sin(self.angle)])
         else:
-            unit = np.asarray(self.axis, dtype=float)
+            unit = np.array(self.axis, dtype=float)
             if unit.shape != (3,):
                 raise ValueError("axis must be a 3-vector")
             n = np.linalg.norm(unit)
             if abs(n - 1.0) > 1e-12:
                 raise ValueError("axis must be a unit vector")
         off = (np.zeros(unit.shape[0]) if self.offset is None
-               else np.asarray(self.offset, dtype=float))
+               else np.array(self.offset, dtype=float))
         if off.shape != unit.shape:
             raise ValueError("offset dimension does not match direction")
+        unit.flags.writeable = off.flags.writeable = False
         object.__setattr__(self, "axis", unit if self.angle is None else None)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "_unit", unit)
@@ -183,6 +196,7 @@ class Arc(Trajectory):
 
     `orientation` s = +1 traverses counterclockwise, -1 clockwise; phase
     shifts the starting angle.  2D only; unit angular rate, so |a'| = radius.
+    It holds a read-only copy of its center.
     """
 
     center: np.ndarray
@@ -192,9 +206,10 @@ class Arc(Trajectory):
     orientation: int = 1
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
+        c = np.array(self.center, dtype=float)
         if c.shape != (2,):
             raise ValueError("arc center must be a 2-vector")
+        c.flags.writeable = False
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.orientation not in (1, -1):
@@ -206,8 +221,12 @@ class Arc(Trajectory):
     def positions(self, ts):
         ts = np.asarray(ts, dtype=float)
         u = self.orientation * ts + self.phase
-        return self.center[None, :] + self.radius * np.stack(
-            [np.cos(u), np.sin(u)], axis=1)
+        out = np.empty((len(ts), 2))
+        np.cos(u, out=out[:, 0])
+        np.sin(u, out=out[:, 1])
+        out *= self.radius
+        out += self.center
+        return out
 
     def speed_bound(self):
         return self.radius
@@ -307,20 +326,30 @@ def _arc_critical_times(traj: Arc, direction: Direction, c: float):
     With the phase argument u(t) = s*t + phase - theta, d/dt x_hat . a =
     -s*r*sin(u), so the roots lie where sin(u) = s*c/r: the turning times
     of h for c = 1 (real only for r >= 1), of the projection for c = 0.
+    They are t = s*(u0 + 2 pi n + theta - phase) for the two branches u0
+    of the arcsine, tried once when they are the same float (c = r on a
+    counterclockwise arc: pi - pi/2 == pi/2), so each t then comes once
+    with the bits it had from either branch.  With a = u0 + theta - phase,
+    n runs from floor((t_min - a) / 2 pi) to ceil((t_max - a) / 2 pi) for
+    s = +1, from -t_max and -t_min for s = -1: every n whose t lies in
+    the interval, and at each end one whose t falls on or just outside
+    it, so rounding in the bounds loses no root.  A strict check on each
+    t keeps the interior roots, in the order of the branches and of
+    increasing n.
     """
     if traj.radius < c:
         return []
     theta = math.atan2(direction.vec[1], direction.vec[0])
     s = traj.orientation
     iv = traj.interval
+    lo, hi = (iv.t_min, iv.t_max) if s == 1 else (-iv.t_max, -iv.t_min)
     base = math.asin(s * c / traj.radius)
+    other = math.pi - base
     out = []
-    span = iv.t_max - iv.t_min
-    for u0 in (base, math.pi - base):
-        # t = s * (u0 + 2 pi n + theta - phase); enumerate n covering interval
-        n_center = (s * iv.midpoint - theta + traj.phase - u0) / TWO_PI
-        for n in range(int(math.floor(n_center - span / TWO_PI) - 1),
-                       int(math.ceil(n_center + span / TWO_PI) + 2)):
+    for u0 in ((base,) if other == base else (base, other)):
+        a = u0 + theta - traj.phase
+        for n in range(math.floor((lo - a) / TWO_PI),
+                       math.ceil((hi - a) / TWO_PI) + 1):
             t = s * (u0 + TWO_PI * n + theta - traj.phase)
             if iv.t_min < t < iv.t_max:
                 out.append(t)
@@ -360,22 +389,26 @@ def _range_of(traj: Trajectory, direction: Direction, c: float):
     The function is read only where it can turn.  A polyline is affine
     between its vertices, so its range is that of the vertex values
     `points @ x_hat` (plus `times` for h), one matrix-vector product.  A
-    Line is affine throughout and is read at its two endpoints; an Arc at
-    its endpoints and the closed-form turning times of
-    _arc_critical_times.  The values are reduced by Python min and max,
-    cheaper than numpy's reductions on so few values.
+    Line is affine throughout and is read the same way at its two
+    endpoints, whose times and positions it keeps (Trajectory.ends).  An
+    Arc is read at its endpoints and the closed-form turning times of
+    _arc_critical_times, all in one positions(ts) @ x_hat: BLAS may round
+    a row differently in a product with another row count.  The values
+    are reduced by Python min and max, cheaper than numpy's reductions on
+    so few values.
     """
     _check_dims(traj, direction)
     # ndarray.dot: the same product as @, with less call overhead
     if isinstance(traj, PiecewiseLinear):
         ts, proj = traj.times, traj.points.dot(direction.vec)
-    else:
+    elif isinstance(traj, Arc):
         iv = traj.interval
-        ts = [iv.t_min, iv.t_max]
-        if isinstance(traj, Arc):
-            ts += _arc_critical_times(traj, direction, c)
-        ts = np.array(ts)
+        ts = np.array([iv.t_min, iv.t_max,
+                       *_arc_critical_times(traj, direction, c)])
         proj = traj.positions(ts).dot(direction.vec)
+    else:
+        ts, ends = traj.ends
+        proj = ends.dot(direction.vec)
     vals = (ts + proj if c else proj).tolist()
     return min(vals), max(vals)
 

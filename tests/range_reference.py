@@ -2,14 +2,39 @@
 reading of `trajectory._range_of` is tested against: every orbit is
 evaluated through `positions` (`np.interp` on a polyline) at the endpoints
 and at the interior times where the function can turn, and reduced with
-numpy."""
+numpy.  An Arc's turning times come from a wide enumeration of both
+arcsine branches, not from `trajectory._arc_critical_times`."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from msimg.trajectory import (Arc, Direction, Trajectory, _arc_critical_times,
+from msimg.trajectory import (TWO_PI, Arc, Direction, Trajectory,
                               _check_dims, h_values)
+
+# Periods enumerated on each side of n = 0: every turning time with
+# |t| + |theta - phase| below about 1,200 is found.
+ARC_PERIODS = 200
+
+
+def arc_critical_times(traj: Arc, direction: Direction,
+                       c: float) -> list[float]:
+    """Interior roots of c + d/dt x_hat . a(t) on an Arc, by brute force:
+    t = s*(u0 + 2 pi n + theta - phase) for each distinct branch u0 of
+    asin(s*c/r) (pi - u0 equals u0 at c = r on a counterclockwise arc)
+    and every |n| <= ARC_PERIODS, kept when strictly inside the
+    interval."""
+    if traj.radius < c:
+        return []
+    theta = math.atan2(direction.vec[1], direction.vec[0])
+    s, iv = traj.orientation, traj.interval
+    base = math.asin(s * c / traj.radius)
+    ts = (s * (u0 + TWO_PI * n + theta - traj.phase)
+          for u0 in dict.fromkeys((base, math.pi - base))
+          for n in range(-ARC_PERIODS, ARC_PERIODS + 1))
+    return [t for t in ts if iv.t_min < t < iv.t_max]
 
 
 def critical_times(traj: Trajectory, direction: Direction,
@@ -21,7 +46,7 @@ def critical_times(traj: Trajectory, direction: Direction,
     Arc.
     """
     if isinstance(traj, Arc):
-        return _arc_critical_times(traj, direction, c)
+        return arc_critical_times(traj, direction, c)
     return [float(b) for b in traj.breakpoints()]
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,6 +420,57 @@ def test_filtered_field_all_dropped(vertical_line, default_band):
     vals, kept = m.filtered_field_values([spec], [d], grid.points(),
                                          vertical_line.interval, default_band)
     assert vals is None and kept == []
+
+
+def _six_directions(traj, band):
+    # the first angle is non-observable for the vertical line, so the
+    # filter drops the first direction at the default threshold
+    thetas = [5 * math.pi / 4, math.pi / 2, 0.3, math.pi, 2.0, 4.0]
+    return zip(*(_spectrum_for(traj, th, band) for th in thetas))
+
+
+@pytest.mark.parametrize("threshold", [m.DEFAULT_THRESHOLD, np.inf, 0.0])
+def test_filtered_field_equals_combined_directions(vertical_line,
+                                                   default_band, threshold):
+    # streaming the directions through the filter gives the bits of
+    # combine_directions over every direction's grid sums
+    spectra, dirs = _six_directions(vertical_line, default_band)
+    pts = m.make_grid([(-2, 2), (0, 4)], (61, 71)).points()
+    iv = vertical_line.interval
+    sums = [m.picard_sums_grid(spec, d, pts, iv, default_band)
+            for spec, d in zip(spectra, dirs)]
+    want, want_kept = m.combine_directions(sums, threshold)
+    got, kept = m.filtered_field_values(spectra, dirs, pts, iv, default_band,
+                                        threshold)
+    assert kept == want_kept
+    if threshold == 0.0:
+        assert got is None and want is None and kept == []
+    else:
+        assert kept[0] == (0 if threshold == np.inf else 1)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_filtered_field_holds_one_direction_at_a_time(vertical_line,
+                                                      default_band):
+    # the running total and one direction's sums, plus the kernel's
+    # per-block temporaries: six directions held at once would not fit
+    spectra, dirs = _six_directions(vertical_line, default_band)
+    pts = m.make_grid([(-2, 2), (0, 4)], (300, 300)).points()
+    iv = vertical_line.interval
+    h = spectra[0].picard_operator(iv, default_band).shape[1] // 2
+    for spec in spectra[1:]:
+        spec.picard_operator(iv, default_band)
+    lattice = pts.shape[0] * 8
+    chunk = 4 * h * POINT_CHUNK * 16
+    tracemalloc.start()
+    try:
+        vals, kept = m.filtered_field_values(spectra, dirs, pts, iv,
+                                             default_band, np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 6 and vals.shape == (pts.shape[0],)
+    assert peak < 3 * lattice + chunk
 
 
 def test_dichotomy_median_ratio(vertical_line, default_band):

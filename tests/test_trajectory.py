@@ -611,6 +611,41 @@ def _polyline_and_direction(draw):
     return cls(times, points), d
 
 
+@st.composite
+def _line_and_direction(draw):
+    """A 2D Line from a heading angle or a 3D one from a unit axis, speed
+    0 included, with a random offset, and a matching direction."""
+    t0 = draw(_floats(0.0, 2.0))
+    iv = m.TimeInterval(t0, t0 + draw(_floats(0.05, 8.0)))
+    speed = draw(st.one_of(st.just(0.0), _floats(0.0, 5.0)))
+    if draw(st.booleans()):
+        traj = m.Line(speed, angle=draw(_floats(-TWO_PI, TWO_PI)),
+                      offset=draw(_vectors(2)), interval=iv)
+        d = m.Direction.from_angle(draw(_floats(0.0, TWO_PI)))
+    else:
+        axis = draw(_vectors(3, 1.0))
+        assume(np.linalg.norm(axis) > 0.1)
+        traj = m.Line(speed, axis=axis / np.linalg.norm(axis),
+                      offset=draw(_vectors(3)), interval=iv)
+        d = m.Direction.from_angles(draw(_floats(0.0, math.pi)),
+                                    draw(_floats(0.0, TWO_PI)))
+    return traj, d
+
+
+@st.composite
+def _arc_and_direction(draw, reach=10.0):
+    """An Arc of either orientation, of radius exactly 1 or random, over up
+    to 3 pi (past a full turn), and a direction.  Start times lie in
+    [0, reach] and phases in [-reach, reach]."""
+    t0 = draw(_floats(0.0, reach))
+    iv = m.TimeInterval(t0, t0 + draw(_floats(0.01, 3 * math.pi)))
+    traj = m.Arc(center=draw(_vectors(2)),
+                 radius=draw(st.one_of(st.just(1.0), _floats(0.05, 5.0))),
+                 phase=draw(_floats(-reach, reach)),
+                 orientation=draw(st.sampled_from([-1, 1])), interval=iv)
+    return traj, m.Direction.from_angle(draw(_floats(-math.pi, math.pi)))
+
+
 def _bits(*values):
     """Exact text of each float, the sign of a zero included."""
     return [float(v).hex() for v in values]
@@ -624,16 +659,71 @@ def _range_queries(traj, d):
             _bits(*m.projection_hull(traj, d)))
 
 
+def _assert_ranges_equal_reference(traj, d):
+    got = _range_queries(traj, d)
+    with mock.patch.object(m.trajectory, "_range_of", rref.range_of):
+        want = _range_queries(traj, d)
+    assert got == want
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_polyline_and_direction())
 def test_vertex_ranges_equal_interpolating_reference(case):
     # a polyline's range is read at its vertices; the interpolating path
     # it replaced gives the same bits for every query built on the range
+    _assert_ranges_equal_reference(*case)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(_line_and_direction(), _arc_and_direction(),
+                 _arc_and_direction(reach=500.0)))
+def test_line_and_arc_ranges_equal_interpolating_reference(case):
+    # a Line's range is read at its cached endpoints, an Arc's at its
+    # endpoints and narrow-window turning times, hundreds of periods out
+    # included; the reference's positions give the same bits
+    _assert_ranges_equal_reference(*case)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(_arc_and_direction(), _arc_and_direction(reach=500.0)),
+       st.sampled_from([0.0, 1.0]))
+def test_arc_critical_times_match_brute_force(case, c):
+    # the exact window of n finds the same interior roots, each as often
+    # and with the same bits, as the wide enumeration of every distinct
+    # branch, hundreds of periods out included
     traj, d = case
-    got = _range_queries(traj, d)
-    with mock.patch.object(m.trajectory, "_range_of", rref.range_of):
-        want = _range_queries(traj, d)
-    assert got == want
+    got = m.trajectory._arc_critical_times(traj, d, c)
+    assert sorted(got) == sorted(rref.arc_critical_times(traj, d, c))
+
+
+def test_line_and_arc_hold_read_only_copies():
+    # a trajectory keeps its endpoint times and positions (ends) once,
+    # read-only; editing a Line's offset or axis, or an Arc's center, as
+    # the caller holds it after a range query must leave them and the
+    # positions as they were
+    iv = m.TimeInterval(1.0, 3.0)
+    d2, d3 = m.Direction.from_angle(0.3), m.Direction.from_angles(1.0, 0.4)
+    off2, off3, axis = np.array([1.0, -1.0]), np.zeros(3), np.array([0.0, 0.6, 0.8])
+    line2 = m.Line(2.0, angle=0.5, offset=off2, interval=iv)
+    line3 = m.Line(1.5, axis=axis, offset=off3, interval=iv)
+    center = np.array([0.5, 0.25])
+    arc = m.Arc(center=center, interval=iv, radius=1.5)
+    cases = [(line2, d2), (line3, d3), (arc, d2)]
+    before = [(m.projection_hull(t, d), t.positions([1.0, 2.0, 3.0]).tolist(),
+               t.ends[1].tolist()) for t, d in cases]
+    off2[:], off3[:], axis[:], center[:] = 9.0, 9.0, (1.0, 0.0, 0.0), 9.0
+    after = [(m.projection_hull(t, d), t.positions([1.0, 2.0, 3.0]).tolist(),
+              t.ends[1].tolist()) for t, d in cases]
+    assert after == before
+    for t, _ in cases:
+        ts, ps = t.ends
+        assert t.ends is t.ends and ts.tolist() == [1.0, 3.0]
+        assert ps.tolist() == t.positions([1.0, 3.0]).tolist()
+        for a in (ts, ps):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    for a in (line2.offset, line3.offset, line3.axis, line3.unit, arc.center):
+        assert not a.flags.writeable
 
 
 def test_polyline_holds_read_only_copies():
