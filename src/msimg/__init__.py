@@ -1,9 +1,8 @@
 """Trajectory imaging of moving point sources from multi-frequency far-field data."""
 
-from .forward import (FarFieldSamples, FrequencyBand, NoiseSpec,
-                      QuadratureError, add_noise, far_field_line_closed_form,
-                      far_field_value, read_farfield_csv, sample_band,
-                      write_farfield_csv)
+from .forward import (FarFieldSamples, FrequencyBand, NoiseSpec, add_noise,
+                      far_field_line_closed_form, far_field_value,
+                      read_farfield_csv, sample_band, write_farfield_csv)
 from .imaging import (ScalarField, SearchGrid, SliceSpec, contrast_metric,
                       make_grid, mask_strip, read_field_csv, slice_grid,
                       write_field_csv, write_pgm)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import forward, imaging, indicator, spectral, trajectory as traj_mod
-from .forward import FrequencyBand, NoiseSpec, QuadratureError
+from .forward import FrequencyBand, NoiseSpec
 from .imaging import ScalarField, SearchGrid, SliceSpec
 from .spectral import DiagonalizationError, MODE_PAPER, MODE_RIGOROUS
 from .trajectory import (TWO_PI, Arc, Direction, Line, PiecewiseLinear,
@@ -37,9 +37,12 @@ WEIGHT_FLOOR = 1e-12
 # most 18^2 and 81^3.  Past these a run would end in a MemoryError.
 MAX_OPERATOR_BYTES = 2 ** 26
 MAX_LATTICE_BYTES = 2 ** 27
-# Nodes of the far-field quadrature at k_max after its deepest refinement:
-# ~10^4 bytes per phase cycle, so at most ~6500 (shipped configs: <= 10).
-MAX_QUADRATURE_BYTES = 2 ** 26
+# The far field's complex (count, terms) arrays: terms are the segments of
+# a polyline or line, or the Jacobi-Anger terms of an arc (91 shipped).
+MAX_FAR_FIELD_BYTES = 2 ** 26
+# Largest rounding eps k_max max|h| of the far field's phases k h(t): it
+# is accurate to 1e-10 only while they are.
+MAX_PHASE_ERROR = 1e-10
 
 
 class ValidationError(ValueError):
@@ -203,13 +206,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
                          _field(spec, "band.count", _integral))
     _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
                 f"{band.n} x {band.n} complex operator")
-    # one quadrature panel per phase cycle, doubled MAX_REFINE times at most
-    cycles = band.k_max * (1 + traj.speed_bound()) * traj.interval.duration \
-        / TWO_PI
-    _check_size("band.k_max",
-                8 * forward.GL_ORDER * 2 ** forward.MAX_REFINE * cycles,
-                MAX_QUADRATURE_BYTES, f"quadrature of k_max (1 + max speed) "
-                f"T / 2 pi = {cycles:.6g} phase cycles")
+    iv = traj.interval
+    # |h(t)| <= t_max + |a(t_min)| + max|a'| T
+    bound = iv.t_max + float(np.abs(traj.positions([iv.t_min])).sum()) \
+        + traj.speed_bound() * iv.duration
+    error = np.finfo(float).eps * band.k_max * bound
+    if not error <= MAX_PHASE_ERROR:
+        raise ValidationError(
+            f"band.k_max: far-field phases k h(t) up to {band.k_max:.6g} * "
+            f"{bound:.6g} round by {error:.3g}, above {MAX_PHASE_ERROR:g}")
+    terms = forward.far_field_terms(traj, band.k_max)
+    _check_size("band.k_max" if isinstance(traj, Arc) else "trajectory.points",
+                16 * band.n * terms, MAX_FAR_FIELD_BYTES,
+                f"far field of {terms} terms at each of {band.n} wavenumbers")
     if not np.any(np.abs(forward.band_weights(traj.interval, band))
                   > WEIGHT_FLOOR):
         raise ValidationError(
@@ -561,7 +570,7 @@ def main(argv=None) -> int:
                       "thread", file=sys.stderr)
             return cmd_image(config, args.data, args.out)
         return cmd_compare(config, args.field, args.out, args.margin)
-    except (QuadratureError, DiagonalizationError, np.linalg.LinAlgError) as e:
+    except (DiagonalizationError, np.linalg.LinAlgError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:  # ValidationError is a ValueError

@@ -1,18 +1,16 @@
 """Multi-frequency far-field synthesis for a moving point source.
 
-The far-field value at direction x_hat and wavenumber k is the oscillatory
-integral of the retarded phase over the emission interval,
+The far-field value at direction x_hat and wavenumber k is the integral
+of the retarded phase h(t) = t + x_hat . a(t) over the emission interval,
 
-    w(x_hat, k) = integral_{t_min}^{t_max} exp(-i k (x_hat . a(t) + t)) dt,
+    w(x_hat, k) = integral_{t_min}^{t_max} exp(-i k h(t)) dt,
 
-computed by composite Gauss-Legendre panels whose count tracks the
-oscillation number k * (1 + max|a'|) * T.  The panels of every smooth
-piece of the orbit are evaluated together, in batches of PANEL_BATCH, so
-one refinement level costs a fixed number of numpy calls per batch
-whatever the number of polyline segments; the piece-by-piece loop it
-replaced is the tests' reference (tests/quadrature_reference.py).
-Negative wavenumbers follow from conjugate symmetry
-w(x_hat, -k) = conj(w(x_hat, k)) of real time signals.
+in closed form on every orbit: a sum of sinc terms over the segments where
+h is affine (Line, PiecewiseLinear, Sampled), and a Jacobi-Anger series of
+the same sinc terms on an Arc (Abramowitz and Stegun, ch. 9).  Negative
+wavenumbers follow from conjugate symmetry w(x_hat, -k) = conj(w(x_hat, k))
+of real time signals.  The adaptive quadrature they replaced is the tests'
+reference (tests/quadrature_reference.py).
 
 The positive band (0, k_max] is discretized at midpoints
 k_n = (n - 1/2) dk, dk = k_max / N; these samples feed the spectral module.
@@ -20,38 +18,13 @@ k_n = (n - 1/2) dk, dk = k_max / N; these samples feed the spectral module.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .trajectory import Direction, TimeInterval, Trajectory, h_values
-
-QUAD_TOL = 1e-10
-GL_ORDER = 20
-MAX_REFINE = 6   # panel doublings before the quadrature gives up
-# Panels whose nodes are evaluated together: bounds the quadrature's
-# arrays (~6 MB) however many segments a polyline has.
-PANEL_BATCH = 2 ** 12
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the GL_ORDER-point rule on [-1, 1], computed
-    on first use: importing numpy.polynomial slows every CLI start-up."""
-    from numpy.polynomial.legendre import leggauss
-    nodes, weights = leggauss(GL_ORDER)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-class QuadratureError(RuntimeError):
-    """Oscillatory quadrature failed to reach tolerance."""
-
-    def __init__(self, residual: float):
-        super().__init__(f"quadrature did not converge; residual {residual:.3e}")
-        self.residual = residual
+from .trajectory import (TWO_PI, Arc, Direction, TimeInterval, Trajectory,
+                         _check_dims)
 
 
 @dataclass(frozen=True)
@@ -125,71 +98,100 @@ class NoiseSpec:
 
 
 # ---------------------------------------------------------------------------
-# Oscillatory quadrature
+# Closed-form far field
 # ---------------------------------------------------------------------------
 
-def _panel_edges(traj: Trajectory, rate: float, refine: int) -> np.ndarray:
-    """Edges of the quadrature panels of every smooth piece, in one array.
+def far_field_terms(traj: Trajectory, k_max: float) -> int:
+    """Terms per wavenumber the closed form sums for |k| <= k_max: one per
+    segment of an affine orbit, and on an Arc the 2 n + 1 Jacobi-Anger
+    orders |n| <= kr + 11 (kr)^(1/3) + 12, kr = k_max r.  J_n(kr) decays
+    within O((kr)^(1/3)) orders past n = kr, and the |J_n(kr)| past that
+    sum to below 1e-17 (checked against scipy for kr <= 3e4)."""
+    if isinstance(traj, Arc):
+        kr = k_max * traj.radius
+        return 2 * math.ceil(kr + 11.0 * kr ** (1.0 / 3.0) + 12.0) + 1
+    return len(traj.vertices[0]) - 1
 
-    A piece [a, b] gets max(1, ceil(rate (b - a))) << refine panels, and
-    its edges are `np.linspace(a, b, panels + 1)`'s: edge i is
-    i * ((b - a) / panels) + a and the last one is b, which starts the
-    next piece.  The pieces' bounds and lengths are the trajectory's own
-    (Trajectory.pieces), kept from the first build.
+
+def _bessel_j(order: int, z: np.ndarray) -> np.ndarray:
+    """J_0(z), ..., J_order(z) at each z in [0, kr], shape
+    (order + 1, len(z)), for the order far_field_terms keeps at kr.
+
+    Miller's backward recurrence J_{n-1} = (2n / z) J_n - J_{n+1} from
+    J_{order+1} = 0, run on the ratios q_n = J_n / J_{n-1} =
+    z / (2n - z q_{n+1}), which never approach overflow and are 0 at
+    z = 0; J_n / J_0 = q_1 ... q_n is normalised by J_0 + 2 (J_2 + J_4 +
+    ...) = 1 (Abramowitz and Stegun 9.1.27, 9.1.46).
     """
-    bounds, lengths = traj.pieces
-    panels = np.maximum(np.ceil(rate * lengths), 1.0).astype(np.intp) << refine
-    ends = panels.cumsum()
-    local = np.arange(ends[-1]) - (ends - panels).repeat(panels)
-    edges = np.empty(len(local) + 1)
-    np.add(local * (lengths / panels).repeat(panels),
-           bounds[:-1].repeat(panels), out=edges[:-1])
-    edges[-1] = bounds[-1]
-    return edges
+    q = np.ones((order + 2, len(z)))
+    q[order + 1] = 0.0
+    for n in range(order, 0, -1):
+        np.divide(z, 2.0 * n - z * q[n + 1], out=q[n])
+    ratios = np.cumprod(q[:-1], axis=0)  # J_n / J_0
+    return ratios / (1.0 + 2.0 * ratios[2::2].sum(axis=0))
 
 
-def _phase_integral(traj: Trajectory, direction: Direction, k: float,
-                    refine: int = 0) -> complex:
-    """Gauss-Legendre panel evaluation of the far-field integral.
+def _affine_far_field(traj: Trajectory, direction: Direction,
+                      ks: np.ndarray) -> np.ndarray:
+    """Sum over the segments of L sinc(k dh / 2) exp(-i k m) for each k:
+    L the segment's duration, dh the rise of h over it and m its value at
+    the midpoint, h read at the vertices as _range_of reads it."""
+    ts, ps = traj.vertices
+    hs = ts + ps.dot(direction.vec)
+    rise, mid = hs[1:] - hs[:-1], 0.5 * (hs[1:] + hs[:-1])
+    sinc = np.sinc(np.outer(ks, rise / TWO_PI))  # np.sinc(x) = sin(pi x)/(pi x)
+    return (sinc * np.exp(-1j * np.outer(ks, mid))) @ (ts[1:] - ts[:-1])
 
-    Panels are split at velocity breakpoints; within each smooth piece the
-    panel count keeps at least GL_ORDER nodes per phase oscillation, and
-    `refine` doublings shrink the panels further.  The panels of all pieces
-    go through one `h_values`, one exponential and one sum per batch of
-    PANEL_BATCH, so a call costs a fixed number of numpy calls per batch
-    whatever the number of pieces, and holds at most one batch of nodes.
+
+def _arc_far_field(traj: Arc, direction: Direction,
+                   ks: np.ndarray) -> np.ndarray:
+    """Jacobi-Anger series of an Arc's far field for each k >= 0.
+
+    With u = s t + phase - theta, exp(-i k r cos u) = sum_n (-i)^n J_n(k r)
+    exp(i n u) makes w = T exp(-i k x_hat . c) sum_n J_|n|(k r) z_n
+    sinc(d T / 2) exp(i d t_mid), d = n s - k, where z_n folds (-i)^n,
+    e^{i n (phase - theta)} and J_-n = (-1)^n J_n, over far_field_terms.
+    The z_n are running products, so no angle n theta is rounded, and
+    d t_mid is taken whole, as the terms that matter have n s near k.
     """
-    rate = abs(k) * (1.0 + traj.speed_bound()) / (2.0 * math.pi)  # osc per unit time
-    edges = _panel_edges(traj, rate, refine)
-    gl_nodes, gl_weights = _gauss_legendre()
-    total = 0.0 + 0.0j
-    for start in range(0, len(edges) - 1, PANEL_BATCH):
-        batch = edges[start:start + PANEL_BATCH + 1]
-        half = 0.5 * (batch[1:] - batch[:-1])
-        mids = 0.5 * (batch[1:] + batch[:-1])
-        ts = (mids[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
-        phases = h_values(traj, direction, ts)
-        w = (half[:, None] * gl_weights[None, :]).ravel()
-        total += (w * np.exp(-1j * k * phases)).sum()
-    return complex(total)
+    iv, s = traj.interval, traj.orientation
+    order = far_field_terms(traj, float(ks.max(initial=0.0))) // 2
+    n = np.arange(-order, order + 1)
+    bessel = _bessel_j(order, ks * traj.radius)[np.abs(n)].T  # (K, terms)
+    d = np.subtract.outer(s * n, ks).T
+    terms = bessel * np.sinc(d * (iv.duration / TWO_PI)) \
+        * np.exp(1j * iv.midpoint * d)
+    x1, x2 = direction.vec.tolist()
+    turn = -1j * complex(math.cos(traj.phase), math.sin(traj.phase)) \
+        * complex(x1, -x2) / math.hypot(x1, x2)  # -i e^{i (phase - theta)}
+    z = np.concatenate([np.cumprod(np.full(order, -turn.conjugate()))[::-1],
+                        [1.0], np.cumprod(np.full(order, turn))])
+    return iv.duration * np.exp(-1j * ks * direction.vec.dot(traj.center)) \
+        * (terms @ z)
 
 
-def far_field_value(traj: Trajectory, direction: Direction,
-                    k: float) -> complex:
-    """Far-field value at any real wavenumber k, 0 included, to QUAD_TOL."""
-    prev = _phase_integral(traj, direction, k, refine=0)
-    for refine in range(1, MAX_REFINE + 1):
-        cur = _phase_integral(traj, direction, k, refine=refine)
-        if abs(cur - prev) < QUAD_TOL:
-            return cur
-        prev = cur
-    raise QuadratureError(abs(cur - prev))
+def far_field_value(traj: Trajectory, direction: Direction, k):
+    """Far-field value at a real wavenumber k, 0 included, as a complex; at
+    an array of them, as a complex array of the same shape.
+
+    Closed form on every orbit variant (module docstring), accurate to
+    1e-10 and to the rounding of the phases k h(t).  A negative k gets the
+    exact conjugate of the value at |k|.
+    """
+    _check_dims(traj, direction)
+    ks = np.asarray(k, dtype=float)
+    closed = _arc_far_field if isinstance(traj, Arc) else _affine_far_field
+    w = closed(traj, direction, np.abs(ks.ravel()))
+    w = np.where(ks.ravel() < 0, w.conj(), w).reshape(ks.shape)
+    return complex(w) if w.ndim == 0 else w
 
 
 def far_field_line_closed_form(speed: float, angle: float, offset,
                                direction: Direction, interval: TimeInterval,
                                k: float) -> complex:
-    """Analytic far field of planar straight motion; test oracle only.
+    """Analytic far field of planar straight motion, from the line's speed
+    and heading: the oracle the benchmark and the tests check
+    `sample_band` against, kept apart from the segment sum it checks.
 
     With beta = 1 + speed * cos(theta - angle) the integral reduces to
     T * sinc(k beta T / 2) * exp(-i k beta t_mid) * exp(-i k x_hat . offset),
@@ -207,10 +209,10 @@ def far_field_line_closed_form(speed: float, angle: float, offset,
 
 def sample_band(traj: Trajectory, direction: Direction,
                 band: FrequencyBand) -> FarFieldSamples:
-    """Far-field samples at every band midpoint."""
-    vals = np.array([far_field_value(traj, direction, k)
-                     for k in band.midpoints()])
-    return FarFieldSamples(direction, band, vals)
+    """Far-field samples at every band midpoint, in one far_field_value
+    call."""
+    return FarFieldSamples(direction, band, far_field_value(
+        traj, direction, band.midpoints()))
 
 
 def add_noise(samples: FarFieldSamples, noise: NoiseSpec) -> FarFieldSamples:

@@ -107,30 +107,6 @@ class Trajectory:
         """Positions at an array of times, shape (len(ts), dim)."""
         raise NotImplementedError
 
-    def breakpoints(self) -> np.ndarray:
-        """Interior times where the velocity may jump (empty for smooth orbits)."""
-        return np.array([])
-
-    @functools.cached_property
-    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds [t_min, breakpoints..., t_max] of the smooth pieces and
-        the pieces' lengths; computed once, read-only."""
-        iv = self.interval
-        bounds = np.concatenate(([iv.t_min], self.breakpoints(), [iv.t_max]))
-        lengths = bounds[1:] - bounds[:-1]
-        bounds.flags.writeable = lengths.flags.writeable = False
-        return bounds, lengths
-
-    @functools.cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times [t_min, t_max] and the positions there, shape (2, dim);
-        computed once, read-only."""
-        iv = self.interval
-        ts = np.array([iv.t_min, iv.t_max])
-        ps = self.positions(ts)
-        ts.flags.writeable = ps.flags.writeable = False
-        return ts, ps
-
     def speed_bound(self) -> float:
         """Upper bound on |a'(t)| over the interval."""
         raise NotImplementedError
@@ -142,7 +118,7 @@ class Line(Trajectory):
 
     2D lines are built from a heading angle, 3D lines from a unit axis.
     It holds read-only copies of its axis and offset, so the endpoint
-    positions it keeps (`ends`) stay its own.
+    positions it keeps (`vertices`) stay its own.
     """
 
     speed: float
@@ -185,6 +161,16 @@ class Line(Trajectory):
     def positions(self, ts):
         ts = np.asarray(ts, dtype=float)
         return self.offset[None, :] + self.speed * ts[:, None] * self._unit[None, :]
+
+    @functools.cached_property
+    def vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Times [t_min, t_max] and the positions there, shape (2, dim),
+        between which the line is affine; computed once, read-only."""
+        iv = self.interval
+        ts = np.array([iv.t_min, iv.t_max])
+        ps = self.positions(ts)
+        ts.flags.writeable = ps.flags.writeable = False
+        return ts, ps
 
     def speed_bound(self):
         return self.speed
@@ -237,8 +223,7 @@ class PiecewiseLinear(Trajectory):
     """Polyline orbit through (time, point) breakpoints, linear in between.
 
     It holds read-only copies of the times and points it is given, so the
-    velocities, speed bound and pieces it derives from them once stay
-    theirs.
+    velocities and speed bound it derives from them once stay theirs.
     """
 
     times: np.ndarray
@@ -281,8 +266,10 @@ class PiecewiseLinear(Trajectory):
         computed once; the array is read-only."""
         return self._velocities
 
-    def breakpoints(self):
-        return self.times[1:-1].copy()
+    @property
+    def vertices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Times and points between which the orbit is affine."""
+        return self.times, self.points
 
     def speed_bound(self):
         return self._speed_bound
@@ -386,11 +373,10 @@ def _range_of(traj: Trajectory, direction: Direction, c: float):
     """Exact range of c*t + x_hat . a(t) over the interval, c in {0, 1}:
     of h for c = 1, of the projection x_hat . a for c = 0.
 
-    The function is read only where it can turn.  A polyline is affine
-    between its vertices, so its range is that of the vertex values
-    `points @ x_hat` (plus `times` for h), one matrix-vector product.  A
-    Line is affine throughout and is read the same way at its two
-    endpoints, whose times and positions it keeps (Trajectory.ends).  An
+    The function is read only where it can turn.  A Line, PiecewiseLinear
+    or Sampled orbit is affine between its vertices (`vertices`: a Line's
+    two endpoints, built once), so its range is that of the vertex values
+    `points @ x_hat` (plus `times` for h), one matrix-vector product.  An
     Arc is read at its endpoints and the closed-form turning times of
     _arc_critical_times, all in one positions(ts) @ x_hat: BLAS may round
     a row differently in a product with another row count.  The values
@@ -399,16 +385,14 @@ def _range_of(traj: Trajectory, direction: Direction, c: float):
     """
     _check_dims(traj, direction)
     # ndarray.dot: the same product as @, with less call overhead
-    if isinstance(traj, PiecewiseLinear):
-        ts, proj = traj.times, traj.points.dot(direction.vec)
-    elif isinstance(traj, Arc):
+    if isinstance(traj, Arc):
         iv = traj.interval
         ts = np.array([iv.t_min, iv.t_max,
                        *_arc_critical_times(traj, direction, c)])
         proj = traj.positions(ts).dot(direction.vec)
     else:
-        ts, ends = traj.ends
-        proj = ends.dot(direction.vec)
+        ts, ps = traj.vertices
+        proj = ps.dot(direction.vec)
     vals = (ts + proj if c else proj).tolist()
     return min(vals), max(vals)
 

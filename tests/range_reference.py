@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from msimg.trajectory import (TWO_PI, Arc, Direction, Trajectory,
+from msimg.trajectory import (TWO_PI, Arc, Direction, Line, Trajectory,
                               _check_dims, h_values)
 
 # Periods enumerated on each side of n = 0: every turning time with
@@ -41,13 +41,13 @@ def critical_times(traj: Trajectory, direction: Direction,
                    c: float) -> list[float]:
     """Interior times where c*t + x_hat . a(t) can have an extremum.
 
-    It is affine on a Line (no breakpoints), affine between the vertices
-    of a polyline and sinusoidal, with closed-form turning points, on an
-    Arc.
+    It is affine on a Line (none), affine between the vertices of a
+    polyline (its interior times) and sinusoidal, with closed-form turning
+    points, on an Arc.
     """
     if isinstance(traj, Arc):
         return arc_critical_times(traj, direction, c)
-    return [float(b) for b in traj.breakpoints()]
+    return [] if isinstance(traj, Line) else traj.times[1:-1].tolist()
 
 
 def range_of(traj: Trajectory, direction: Direction, c: float):

@@ -917,14 +917,63 @@ def test_config_size_guards_admit_the_bounds(tmp_path):
 
 
 def test_polyline_vertex_count_is_not_size_guarded(tmp_path):
-    # the quadrature evaluates its panels in batches, so a long polyline
-    # costs time, not memory: the size guard counts the ~6 phase cycles of
-    # this slow curve and not its 6,999 segments
+    # the far field of a polyline holds one complex per segment and
+    # wavenumber: 6,999 segments x 18 wavenumbers is 2 MB, far inside the
+    # bound of the size guard
     ts = np.linspace(0.0, 2.0, 7000)
     pts = np.stack([np.cos(ts), np.sin(ts)], axis=1)
     path = _base_config(tmp_path, trajectory={
         "variant": "piecewise", "times": ts.tolist(), "points": pts.tolist()})
     assert cli.load_config(path).trajectory.times.shape == (7000,)
+
+
+def _arc(radius: float) -> dict:
+    return {"variant": "arc", "center": [0.0, 0.0], "radius": radius,
+            "interval": [0.0, 1.0]}
+
+
+def _polyline(vertices: int) -> dict:
+    return {"variant": "piecewise",
+            "times": np.linspace(0.0, 1.0, vertices).tolist(),
+            "points": np.zeros((vertices, 2)).tolist()}
+
+
+@pytest.mark.parametrize("variant, field", [("arc", "band.k_max"),
+                                            ("piecewise", "trajectory.points")])
+def test_far_field_size_guard(tmp_path, capsys, monkeypatch, variant, field):
+    # 16 bytes per wavenumber and term: at the bound the config parses,
+    # one term count past it synth exits 2 naming the field and the bound
+    # before any far-field array is built
+    def refuse(*args):
+        raise AssertionError("far field built past the size guard")
+
+    monkeypatch.setattr(m.forward, "far_field_value", refuse)
+    monkeypatch.setattr(m.forward, "_bessel_j", refuse)
+    band = {"k_max": 3 * PI, "count": 18}
+    limit = cli.MAX_FAR_FIELD_BYTES // (16 * band["count"])
+    if variant == "arc":
+        # the largest radius whose 2 n + 1 terms fit, by bisection
+        lo, hi = 1.0, 1e6
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            arc = cli._build_trajectory(_arc(mid))
+            if m.forward.far_field_terms(arc, band["k_max"]) <= limit:
+                lo = mid
+            else:
+                hi = mid
+        fits, past = _arc(lo), _arc(float(np.nextafter(lo, math.inf)))
+    else:
+        fits, past = _polyline(limit + 1), _polyline(limit + 2)
+    for name, trajectory in (("fits", fits), ("past", past)):
+        (tmp_path / name).mkdir()
+        _base_config(tmp_path / name, trajectory=trajectory, band=band)
+    traj = cli.load_config(tmp_path / "fits" / "config.json").trajectory
+    assert limit - 1 <= m.forward.far_field_terms(traj, band["k_max"]) <= limit
+    assert _run("synth", "--config", tmp_path / "past" / "config.json",
+                "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert field in err and f"bound of {cli.MAX_FAR_FIELD_BYTES} bytes" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

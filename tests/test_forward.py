@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import msimg as m
 import quadrature_reference as qref
-from msimg.forward import _phase_integral
+from msimg import cli
 
 TWO_PI = 2 * math.pi
 
@@ -111,10 +112,12 @@ def test_modulus_bounded_by_duration():
 
 
 def test_quadrature_panel_halving_converged(vertical_line, default_band):
+    # the reference quadrature the closed forms are checked against is
+    # converged on the band: one more panel halving moves it by < 1e-8
     d = m.Direction.from_angle(1.1)
     for k in default_band.midpoints():
-        a = _phase_integral(vertical_line, d, float(k), refine=3)
-        b = _phase_integral(vertical_line, d, float(k), refine=4)
+        a = qref.phase_integral(vertical_line, d, float(k), refine=3)
+        b = qref.phase_integral(vertical_line, d, float(k), refine=4)
         assert abs(a - b) < 1e-8
 
 
@@ -123,102 +126,113 @@ def _random_direction(rng, dim):
     return m.Direction(v / np.linalg.norm(v))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(dim=st.sampled_from([2, 3]), vertices=st.integers(2, 60),
-       seed=st.integers(0, 2 ** 32 - 1), k=st.floats(-40.0, 40.0),
-       refine=st.integers(0, 2))
-def test_one_pass_quadrature_matches_piecewise_reference(dim, vertices, seed,
-                                                        k, refine):
-    # the same nodes and weights as the piece-by-piece loop, summed in one
-    # np.sum instead of one per piece; the weights are positive and sum to
-    # T.  The 4 eps T tolerance is measured, not derived: the worst of
-    # 3,000 seeded cases differed by 1.03 eps T (a worst-case bound grows
-    # with the number of pieces).  With one piece (two vertices) the
-    # nodes, the sum and so the bits are the same
-    rng = np.random.default_rng(seed)
-    times = float(rng.uniform(0.0, 2.0)) \
-        + np.cumsum(rng.uniform(0.02, 0.5, vertices))
-    traj = m.PiecewiseLinear(times, rng.uniform(-1.5, 1.5, (vertices, dim)))
-    d = _random_direction(rng, dim)
-    # each piece's panel edges are np.linspace's, bit for bit
-    rate = abs(k) * (1.0 + traj.speed_bound()) / (2.0 * math.pi)
-    edges, start = m.forward._panel_edges(traj, rate, refine), 0
-    for a, b in zip(times[:-1], times[1:]):
-        n = max(1, math.ceil(rate * (b - a))) << refine
-        assert np.array_equal(edges[start:start + n + 1],
-                              np.linspace(a, b, n + 1))
-        start += n
-    assert start + 1 == len(edges)
-    got = _phase_integral(traj, d, k, refine)
-    want = qref.phase_integral(traj, d, k, refine)
-    if vertices == 2:
-        assert got == want
-    else:
-        assert abs(got - want) <= 4 * np.finfo(float).eps \
-            * traj.interval.duration
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(variant=st.sampled_from(["line2d", "line3d", "arc"]),
-       seed=st.integers(0, 2 ** 32 - 1), k=st.floats(-40.0, 40.0),
-       refine=st.integers(0, 2))
-def test_one_pass_quadrature_bit_equal_on_smooth_orbits(variant, seed, k,
-                                                       refine):
-    rng = np.random.default_rng(seed)
+def _random_orbit(variant, rng, vertices):
+    """A seeded orbit: a 2D or 3D line (speed 0 included), a polyline of
+    `vertices` points, or an arc of either orientation, radius exactly 1
+    or random, up to 8 long (past a full turn)."""
     t0 = float(rng.uniform(0.0, 2.0))
-    iv = m.TimeInterval(t0, t0 + float(rng.uniform(0.1, 4.0)))
+    iv = m.TimeInterval(t0, t0 + float(rng.uniform(0.1, 8.0)))
+    speed = float(rng.choice([0.0, rng.uniform(0, 5)]))
+    if variant == "line2d":
+        return m.Line(speed, interval=iv, angle=float(rng.uniform(0, TWO_PI)),
+                      offset=rng.uniform(-2, 2, 2))
+    if variant == "line3d":
+        return m.Line(speed, interval=iv, axis=_random_direction(rng, 3).vec,
+                      offset=rng.uniform(-2, 2, 3))
     if variant == "arc":
-        traj = m.Arc(center=rng.uniform(-2, 2, 2), interval=iv,
-                     radius=float(rng.uniform(0.2, 3.0)),
+        return m.Arc(center=rng.uniform(-2, 2, 2), interval=iv,
+                     radius=float(rng.choice([1.0, rng.uniform(0.2, 3.0)])),
                      phase=float(rng.uniform(0, TWO_PI)),
                      orientation=int(rng.choice([1, -1])))
-    elif variant == "line2d":
-        traj = m.Line(float(rng.uniform(0, 5)), interval=iv,
-                      angle=float(rng.uniform(0, TWO_PI)),
-                      offset=rng.uniform(-2, 2, 2))
-    else:
-        traj = m.Line(float(rng.uniform(0, 5)), interval=iv,
-                      axis=_random_direction(rng, 3).vec,
-                      offset=rng.uniform(-2, 2, 3))
+    times = t0 + np.cumsum(rng.uniform(0.02, 0.5, vertices))
+    return m.PiecewiseLinear(times, rng.uniform(-1.5, 1.5,
+                                                (vertices, int(variant[-2]))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(["line2d", "line3d", "arc", "poly2d",
+                                "poly3d"]),
+       vertices=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1),
+       k=st.one_of(st.just(0.0), st.floats(-40.0, 40.0)))
+def test_closed_form_matches_quadrature_reference(variant, vertices, seed, k):
+    # the segment sum and the Jacobi-Anger series agree with the adaptive
+    # quadrature to its 1e-10; a negative k gets the exact conjugate
+    rng = np.random.default_rng(seed)
+    traj = _random_orbit(variant, rng, vertices)
     d = _random_direction(rng, traj.dim)
-    assert _phase_integral(traj, d, k, refine) \
-        == qref.phase_integral(traj, d, k, refine)
+    got = m.far_field_value(traj, d, k)
+    assert isinstance(got, complex)
+    assert abs(got - qref.far_field_value(traj, d, k)) < qref.QUAD_TOL
+    mirrored = m.far_field_value(traj, d, -k)
+    assert (mirrored.real, mirrored.imag) == (got.real, -got.imag)
 
 
-def test_quadrature_batches_bound_the_nodes(monkeypatch):
-    # a 7,000-vertex polyline at the deepest refinement: every h_values
-    # call holds at most one batch of nodes, and the batched sum stays
-    # within 4 eps T of the piece-by-piece loop
-    ts = np.linspace(0.0, 2.0, 7000)
-    traj = m.PiecewiseLinear(ts, np.stack([np.cos(ts), np.sin(ts)], axis=1))
-    d = m.Direction.from_angle(0.7)
-    sizes, h_values = [], m.forward.h_values
+@pytest.mark.parametrize("kr", [0.5, 5.0, 3 * math.pi, 40.0, 300.0, 3000.0])
+def test_bessel_recurrence_matches_scipy(kr):
+    # Miller's recurrence against scipy's J_n on [0, kr], z = 0 and
+    # subnormal z included, and the orders an arc's series drops are
+    # negligible.  The bound is measured, not derived: the error grows
+    # about like kr eps / 10 (4.4e-16 at 3 pi, 5.0e-14 at 3000)
+    special = pytest.importorskip("scipy.special")
+    z = np.concatenate([[0.0, 5e-324, 1e-300, 1e-8],
+                        np.linspace(0.0, kr, 37)])
+    unit_arc = m.Arc(center=(0.0, 0.0), interval=m.TimeInterval(0.0, 1.0))
+    order = m.forward.far_field_terms(unit_arc, kr) // 2
+    got = m.forward._bessel_j(order, z)
+    want = special.jv(np.arange(order + 1)[:, None], z)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= 1e-15 + 2e-17 * kr
+    assert got[0, 0] == 1.0 and not got[1:, 0].any()
+    tail = special.jv(np.arange(order + 1, order + 400)[:, None], z)
+    assert np.abs(tail).sum(axis=0).max() < 1e-17
 
-    def recording(traj, direction, nodes):
-        sizes.append(len(nodes))
-        return h_values(traj, direction, nodes)
 
-    monkeypatch.setattr(m.forward, "h_values", recording)
-    got = _phase_integral(traj, d, 30.0, m.forward.MAX_REFINE)
-    assert len(sizes) > 1
-    assert max(sizes) == m.forward.PANEL_BATCH * m.forward.GL_ORDER
-    want = qref.phase_integral(traj, d, 30.0, m.forward.MAX_REFINE)
-    assert abs(got - want) <= 4 * np.finfo(float).eps * 2.0
+def _mp_far_field(traj, direction, k, breaks):
+    """40-digit integral of exp(-i k h(t)) over the interval, split at
+    `breaks` and into ceil(|k| T) equal pieces, each under a phase cycle
+    on the shipped orbits."""
+    mpmath = pytest.importorskip("mpmath")
+    x = [mpmath.mpf(v) for v in direction.vec.tolist()]
+    if isinstance(traj, m.Arc):
+        c = [mpmath.mpf(v) for v in traj.center.tolist()]
+        r, s, phase = (mpmath.mpf(traj.radius), traj.orientation,
+                       mpmath.mpf(traj.phase))
+
+        def h(t):
+            u = s * t + phase
+            return t + x[0] * (c[0] + r * mpmath.cos(u)) \
+                + x[1] * (c[1] + r * mpmath.sin(u))
+    else:
+        ts = traj.times.tolist()
+        ps = [[mpmath.mpf(v) for v in p] for p in traj.points.tolist()]
+
+        def h(t):
+            i = max(j for j in range(len(ts) - 1) if ts[j] <= t)
+            f = (t - ts[i]) / (mpmath.mpf(ts[i + 1]) - ts[i])
+            return t + sum(xd * (p0 + f * (p1 - p0))
+                           for xd, p0, p1 in zip(x, ps[i], ps[i + 1]))
+
+    iv = traj.interval
+    pieces = max(1, math.ceil(abs(k) * iv.duration))
+    nodes = sorted({*np.linspace(iv.t_min, iv.t_max, pieces + 1).tolist(),
+                    *breaks})
+    with mpmath.workdps(40):
+        return complex(mpmath.quad(
+            lambda t: mpmath.exp(-1j * mpmath.mpf(k) * h(t)),
+            [mpmath.mpf(t) for t in nodes]))
 
 
-@pytest.mark.parametrize("batch", [1, 3, 64])
-def test_quadrature_batch_size_only_reorders_the_sum(monkeypatch, batch):
-    # batch edges fall inside pieces and between them; the panels and
-    # nodes are the same, so only the order of summation moves
-    rng = np.random.default_rng(batch)
-    times = np.cumsum(rng.uniform(0.02, 0.5, 12))
-    traj = m.PiecewiseLinear(times, rng.uniform(-1.5, 1.5, (12, 2)))
-    d = m.Direction.from_angle(2.1)
-    want = qref.phase_integral(traj, d, 17.0, 1)
-    monkeypatch.setattr(m.forward, "PANEL_BATCH", batch)
-    got = _phase_integral(traj, d, 17.0, 1)
-    assert abs(got - want) <= 4 * np.finfo(float).eps \
-        * traj.interval.duration
+@pytest.mark.parametrize("name", ["arc", "piecewise"])
+def test_far_field_matches_mpmath_integral(name):
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / f"{name}.json")
+    traj, ks = cfg.trajectory, cfg.band.midpoints()
+    breaks = [] if name == "arc" else traj.times.tolist()
+    for j, n in ((0, 0), (2, 9), (len(cfg.directions) - 1, 17)):
+        d = cfg.directions[j]
+        got = m.sample_band(traj, d, cfg.band).values[n]
+        want = _mp_far_field(traj, d, float(ks[n]), breaks)
+        assert abs(got - want) < 1e-13, (j, n)
 
 
 def test_translation_covariance():

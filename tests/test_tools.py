@@ -77,3 +77,36 @@ def test_compare_trees_refuses_real_differences(tmp_path):
     pgm.write_text(pgm.read_text().replace(" 255", " 254", 1))
     code, text = _compare(a, b)
     assert code == 1 and "1 of 20 pixels differ" in text
+
+
+def _farfield_tree(root: Path, values: np.ndarray) -> Path:
+    """A tree holding one far-field CSV of `values` on an 18-point band."""
+    (root / "cfg").mkdir(parents=True)
+    band = m.FrequencyBand(3 * np.pi, len(values))
+    m.write_farfield_csv(root / "cfg" / "farfield_1.csv", m.FarFieldSamples(
+        m.Direction.from_angle(0.0), band, values))
+    return root
+
+
+def test_compare_trees_farfield_rule(tmp_path):
+    # re and im are held to rtol times the file's largest |w|: a last-digit
+    # change passes, also in a component near 0, a 1e-6 change or another
+    # k cell fails
+    values = np.exp(-1j * np.linspace(0.0, 3.0, 18)) * np.linspace(2, 0.1, 18)
+    values[4] = 1e-17 + 0.5j
+    a = _farfield_tree(tmp_path / "a", values)
+    moved = values * (1 + 2e-16)
+    moved[4] = 3e-17 + 0.5j
+    code, text = _compare(a, _farfield_tree(tmp_path / "b", moved))
+    assert code == 0, text
+    assert "re,im differ by at most" in text
+    code, text = _compare(a, _farfield_tree(tmp_path / "c", values * (1 + 1e-6)))
+    assert code == 1 and "more than rtol" in text
+    d = _farfield_tree(tmp_path / "d", values)
+    path = d / "cfg" / "farfield_1.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    k, rest = lines[3].split(",", 1)
+    lines[3] = f"{np.nextafter(float(k), 4.0):.17g},{rest}"
+    path.write_text("".join(lines))
+    code, text = _compare(a, d)
+    assert code == 1 and "header or k column differ" in text

@@ -36,7 +36,7 @@ def test_velocity_piecewise_sides(broken_line):
     # one velocity per segment: the left and right sides of the breakpoint
     assert_allclose(broken_line.velocities(), [[-1.0, -1.0], [1.0, -1.0]],
                     atol=1e-15)
-    assert_allclose(broken_line.breakpoints(), [1.0])
+    assert broken_line.vertices[0].tolist() == [0.0, 1.0, 2.0]
 
 
 def test_speed_bound(vertical_line, fast_diagonal, wide_clockwise_arc,
@@ -697,7 +697,7 @@ def test_arc_critical_times_match_brute_force(case, c):
 
 
 def test_line_and_arc_hold_read_only_copies():
-    # a trajectory keeps its endpoint times and positions (ends) once,
+    # a Line keeps its endpoint times and positions (vertices) once,
     # read-only; editing a Line's offset or axis, or an Arc's center, as
     # the caller holds it after a range query must leave them and the
     # positions as they were
@@ -709,15 +709,18 @@ def test_line_and_arc_hold_read_only_copies():
     center = np.array([0.5, 0.25])
     arc = m.Arc(center=center, interval=iv, radius=1.5)
     cases = [(line2, d2), (line3, d3), (arc, d2)]
-    before = [(m.projection_hull(t, d), t.positions([1.0, 2.0, 3.0]).tolist(),
-               t.ends[1].tolist()) for t, d in cases]
+
+    def state():
+        return [(m.projection_hull(t, d), t.positions([1.0, 2.0, 3.0]).tolist(),
+                 t.vertices[1].tolist() if t is not arc else None)
+                for t, d in cases]
+
+    before = state()
     off2[:], off3[:], axis[:], center[:] = 9.0, 9.0, (1.0, 0.0, 0.0), 9.0
-    after = [(m.projection_hull(t, d), t.positions([1.0, 2.0, 3.0]).tolist(),
-              t.ends[1].tolist()) for t, d in cases]
-    assert after == before
-    for t, _ in cases:
-        ts, ps = t.ends
-        assert t.ends is t.ends and ts.tolist() == [1.0, 3.0]
+    assert state() == before
+    for t in (line2, line3):
+        ts, ps = t.vertices
+        assert t.vertices is t.vertices and ts.tolist() == [1.0, 3.0]
         assert ps.tolist() == t.positions([1.0, 3.0]).tolist()
         for a in (ts, ps):
             with pytest.raises(ValueError):
@@ -727,8 +730,8 @@ def test_line_and_arc_hold_read_only_copies():
 
 
 def test_polyline_holds_read_only_copies():
-    # velocities, speed bound and pieces are derived once; editing the
-    # caller's arrays afterwards must not leave them stale
+    # velocities and speed bound are derived once; editing the caller's
+    # arrays afterwards must not leave them or the vertices stale
     times, points = np.array([0.0, 1.0, 2.0]), np.array([[3.0, 3], [2, 2],
                                                          [3, 1]])
     traj = m.PiecewiseLinear(times, points)
@@ -738,5 +741,5 @@ def test_polyline_holds_read_only_copies():
     times[2], points[2] = 5.0, (10.0, 0.0)
     assert traj.times[2] == 2.0 and traj.points[2].tolist() == [3.0, 1.0]
     assert m.projection_hull(traj, m.Direction.from_angle(0.0)) == (2.0, 3.0)
-    for a in (traj.times, traj.points, v, *traj.pieces):
+    for a in (traj.times, traj.points, v, *traj.vertices):
         assert not a.flags.writeable

@@ -9,6 +9,9 @@ This script holds them to these rules instead:
 - both trees hold the same files;
 - a field CSV (header x1,...,w) keeps its header and coordinate columns
   byte for byte, and each value agrees within --rtol (relative);
+- a far-field CSV (header k,re,im) keeps its header and k column byte for
+  byte, and each re and im agrees within --rtol times the file's largest
+  |w| (a component near 0 cannot be judged relative to itself);
 - a *.compare.json keeps its structure and every string, flag and null;
   its numbers agree within --rtol.  An `argmax_in_mask` that differs is
   listed with the field's relative gap between its maximum and its value
@@ -36,9 +39,9 @@ def _files(root: Path) -> set[str]:
             if p.is_file()}
 
 
-def _is_field(path: Path) -> bool:
+def _header(path: Path) -> bytes:
     with open(path, "rb") as f:
-        return f.readline().startswith(b"x1,")
+        return f.readline()
 
 
 def _field(path: Path) -> tuple[list[bytes], np.ndarray]:
@@ -50,6 +53,17 @@ def _field(path: Path) -> tuple[list[bytes], np.ndarray]:
         heads.append(head)
         values.append(float(value))
     return heads, np.array(values)
+
+
+def _farfield(path: Path) -> tuple[list[bytes], np.ndarray]:
+    """Header plus k text of each line, and the (rows, 2) re,im values."""
+    lines = path.read_bytes().splitlines()
+    keys, values = [lines[0]], []
+    for line in lines[1:]:
+        k, _, rest = line.partition(b",")
+        keys.append(k)
+        values.append([float(x) for x in rest.split(b",")])
+    return keys, np.array(values).reshape(-1, 2)
 
 
 def _close(a, b, rtol: float) -> bool:
@@ -81,6 +95,20 @@ class Comparison:
         elif diff.any():
             print(f"{rel}: {int(diff.sum())} of {len(va)} values differ, "
                   f"max relative change {change.max():.3g}")
+
+    def farfield(self, rel: str) -> None:
+        (ka, wa), (kb, wb) = _farfield(self.a / rel), _farfield(self.b / rel)
+        if ka != kb:
+            self.fail(f"{rel}: header or k column differ")
+            return
+        scale = max(np.hypot(*wa.T).max(), np.hypot(*wb.T).max())
+        gap = float(np.abs(wa - wb).max())
+        if not gap <= self.rtol * scale:
+            self.fail(f"{rel}: re,im differ by {gap:.3g}, more than rtol "
+                      f"{self.rtol:g} times the largest |w| {scale:.6g}")
+        elif gap:
+            print(f"{rel}: re,im differ by at most {gap:.3g}, "
+                  f"{gap / scale:.3g} of the largest |w|")
 
     def compare_json(self, rel: str) -> None:
         a = json.loads((self.a / rel).read_text())
@@ -143,8 +171,11 @@ class Comparison:
             self.fail(f"{rel}: only in {'A' if rel in fa else 'B'}")
         common = sorted(fa & fb)
         for rel in common:
-            if rel.endswith(".csv") and _is_field(self.a / rel):
+            header = _header(self.a / rel) if rel.endswith(".csv") else b""
+            if header.startswith(b"x1,"):
                 self.field(rel)
+            elif header == b"k,re,im\n":
+                self.farfield(rel)
             elif rel.endswith(".compare.json"):
                 self.compare_json(rel)
             elif rel.endswith(".pgm"):
