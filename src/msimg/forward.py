@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .imaging import _cell_texts, _read_rows
 from .trajectory import (TWO_PI, Arc, Direction, TimeInterval, Trajectory,
                          _check_dims)
 
@@ -242,39 +243,21 @@ def add_noise(samples: FarFieldSamples, noise: NoiseSpec) -> FarFieldSamples:
 _HEADER = b"k,re,im\n"
 
 
-def _k_texts(band: FrequencyBand) -> list[bytes]:
-    """`.17g,` text of each band midpoint: a far-field CSV row's k cell."""
-    return [f"{k:.17g},".encode() for k in band.midpoints().tolist()]
-
-
 def write_farfield_csv(path, samples: FarFieldSamples) -> None:
+    """Header k,re,im, then a row k_n,re,im of `.17g` texts per midpoint;
+    read_farfield_csv takes this header, each k text byte for byte and
+    two numbers after it, and exactly band.n rows."""
     with open(path, "wb") as f:
         f.write(_HEADER)
-        for k, w in zip(_k_texts(samples.band), samples.values.tolist()):
+        for k, w in zip(_cell_texts(samples.band.midpoints()),
+                        samples.values.tolist()):
             f.write(k + f"{w.real:.17g},{w.imag:.17g}\n".encode())
 
 
 def read_farfield_csv(path, direction: Direction,
                       band: FrequencyBand) -> FarFieldSamples:
-    """Samples on `band` as write_farfield_csv writes them.
-
-    The header line must be the writer's, and row n must start with the
-    `_k_texts` of k_n, byte for byte, and hold two numbers after it, re
-    and im.
-    """
-    ks = _k_texts(band)
-    with open(path, "rb") as f:
-        if f.readline() != _HEADER:
-            raise ValueError(f"{path}: the header line is not k,re,im")
-        rows = f.readlines()
-    if len(rows) != band.n or not all(map(bytes.startswith, rows, ks)):
-        raise ValueError(f"{path}: expected {band.n} rows k,re,im on the "
-                         f"frequency grid of the band")
-    vals = np.empty(band.n, dtype=complex)  # re + 1j * im drops -0.0 parts
-    for n, (k, row) in enumerate(zip(ks, rows)):
-        try:
-            vals.real[n], vals.imag[n] = map(float, row[len(k):].split(b","))
-        except ValueError:
-            raise ValueError(f"{path}: row {n + 2} does not hold two numbers "
-                             "re,im after k") from None
-    return FarFieldSamples(direction, band, vals)
+    """Samples on `band` as write_farfield_csv writes them: `_read_rows`
+    holds row n to the `_cell_texts` of k_n."""
+    values = np.empty(band.n, dtype=complex)
+    _read_rows(path, _HEADER, _cell_texts(band.midpoints()), values)
+    return FarFieldSamples(direction, band, values)

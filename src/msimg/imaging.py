@@ -185,7 +185,7 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Field CSV (x1,x2[,x3],w row-major) and text PGM heatmaps
+# CSV (field x1,x2[,x3],w and far-field k,re,im) and text PGM heatmaps
 # ---------------------------------------------------------------------------
 
 # Values per block of the field writer, rounded to whole lattice lines (at
@@ -199,17 +199,53 @@ def _field_header(dim: int) -> bytes:
     return ("".join(f"x{i + 1}," for i in range(dim)) + "w\n").encode()
 
 
-def _axis_texts(axis: np.ndarray) -> list[bytes]:
-    """`.17g,` text of each axis value: a field CSV row's coordinate cells."""
-    return [f"{c:.17g},".encode() for c in axis.tolist()]
+def _cell_texts(values: np.ndarray) -> list[bytes]:
+    """`.17g,` text of each value: the leading cells of a CSV row."""
+    return [f"{v:.17g},".encode() for v in values.tolist()]
 
 
 def _axis_cells(axis: np.ndarray) -> np.ndarray:
-    """`_axis_texts` of an axis, left-aligned and NUL-padded."""
-    texts = _axis_texts(axis)
+    """`_cell_texts` of an axis, left-aligned and NUL-padded."""
+    texts = _cell_texts(axis)
     w = max(map(len, texts))
     return np.frombuffer(b"".join(t.ljust(w, b"\0") for t in texts),
                          np.uint8).reshape(len(texts), w)
+
+
+def _complex(tail: bytes) -> complex:
+    """The re,im cells of a far-field row; complex(re, im) keeps -0.0."""
+    re, im = tail.split(b",")
+    return complex(float(re), float(im))
+
+
+def _read_rows(path, header: bytes, prefixes, out: np.ndarray) -> None:
+    """Fill `out` from the CSV at `path`, one row at a time.
+
+    Line 1 must be `header`.  Row r must start with the r-th of `prefixes`
+    byte for byte and end in one number (real `out`) or two, re,im
+    (complex `out`), the only cells parsed; there are len(out) rows.
+    Every refusal is a ValueError naming the file and its 1-based line.
+    """
+    parse = _complex if out.dtype.kind == "c" else float
+    r = -1
+    with open(path, "rb") as f:
+        if f.readline() != header:
+            raise ValueError(f"{path}, line 1: the header line is not "
+                             f"{header.decode().strip()}")
+        for r, (prefix, row) in enumerate(zip(prefixes, f)):
+            if not row.startswith(prefix):
+                raise ValueError(f"{path}, line {r + 2}: the row does not "
+                                 f"start with {prefix.decode()!r}")
+            try:
+                out[r] = parse(row[len(prefix):])
+            except ValueError:
+                names = header.decode().split(",", prefix.count(b","))[-1]
+                raise ValueError(f"{path}, line {r + 2}: expected numbers "
+                                 f"{names.strip()} after "
+                                 f"{prefix.decode()!r}") from None
+        if r + 1 < len(out) or f.readline():
+            raise ValueError(f"{path}, line {r + 3}: expected exactly "
+                             f"{len(out)} rows after the header line")
 
 
 def write_field_csv(path, fld: ScalarField) -> None:
@@ -248,32 +284,11 @@ def write_field_csv(path, fld: ScalarField) -> None:
 
 
 def read_field_csv(path, grid: SearchGrid) -> ScalarField:
-    """A field CSV of `grid` as write_field_csv writes it.
-
-    The header line must be the writer's, and row r must start with the
-    `_axis_texts` of lattice point r, byte for byte, and hold one value
-    after them; only the values are parsed.  Rows are read one at a time.
-    """
+    """A field CSV of `grid` as write_field_csv writes it: `_read_rows`
+    holds row r to the `_cell_texts` of lattice point r."""
     values = np.empty(grid.size)
-    r = -1
-    header = _field_header(grid.dim)
-    with open(path, "rb") as f:
-        if f.readline() != header:
-            raise ValueError(f"{path}: the header line is not "
-                             f"{header.decode().strip()}")
-        points = map(b"".join, itertools.product(*map(_axis_texts,
-                                                       grid.axes())))
-        for r, (coords, row) in enumerate(zip(points, f)):
-            if not row.startswith(coords):
-                raise ValueError(f"{path}: lattice points do not match the "
-                                 "grid")
-            try:
-                values[r] = float(row[len(coords):])
-            except ValueError:
-                raise ValueError(f"{path}: a field value is not a number") \
-                    from None
-        if r + 1 != grid.size or f.readline():
-            raise ValueError(f"{path}: field shape does not match the grid")
+    _read_rows(path, _field_header(grid.dim), map(b"".join, itertools.product(
+        *map(_cell_texts, grid.axes()))), values)
     return ScalarField(grid, values)
 
 

@@ -237,6 +237,75 @@ def test_field_csv_coordinates_byte_for_byte(tmp_path):
                           np.ones(grid.size))
 
 
+def _written_csv(tmp_path, kind):
+    """A field or far-field CSV as its writer writes it, the number of
+    leading cells of its rows, and a call of its reader."""
+    if kind == "field":
+        grid = m.make_grid([(-1, 1), (0, 2)], (5, 4))
+        path = tmp_path / "field.csv"
+        m.write_field_csv(path, m.ScalarField(grid, np.linspace(0, 1, 20)))
+        return path, 2, lambda: m.read_field_csv(path, grid)
+    band, d = m.FrequencyBand(3 * math.pi, 20), m.Direction.from_angle(0.5)
+    path = tmp_path / "farfield.csv"
+    m.write_farfield_csv(path, m.FarFieldSamples(
+        d, band, np.linspace(1, 2, 20) * (1 - 1j)))
+    return path, 1, lambda: m.read_farfield_csv(path, d, band)
+
+
+def _row4(edit):
+    """Corruption of line 4, the third row: edit(row, lead)."""
+    return lambda lines, lead: (
+        lines[:3] + [edit(lines[3], lead)] + lines[4:], 4)
+
+
+def _numbers(edit):
+    """Corruption of line 4: its numbers, the cells after the `lead`
+    leading ones, mapped through `edit`."""
+    def numbers(row, lead):
+        cells = row.split(b",")
+        return b",".join(cells[:lead] + [b""]) + b",".join(
+            edit(cells[lead:]))
+    return _row4(numbers)
+
+
+def _ulp_off(row, lead):
+    """The row with its last leading cell written one ulp higher."""
+    cells = row.split(b",")
+    cells[lead - 1] = b"%.17g" % np.nextafter(float(cells[lead - 1]), 9.0)
+    return b",".join(cells)
+
+
+# each maps the file's lines (header first, 20 rows) to the corrupt lines
+# and the 1-based line that must be refused
+_ROW_CORRUPTIONS = {
+    "wrong header": lambda lines, lead: ([b"k,x1,w"] + lines[1:], 1),
+    "prefix one ulp off": _row4(_ulp_off),
+    "row dropped": lambda lines, lead: (lines[:3] + lines[4:], 4),
+    "row repeated": lambda lines, lead: (lines[:4] + lines[3:], 5),
+    "trailing blank line": lambda lines, lead: (lines + [b""], 22),
+    "one number fewer": _numbers(lambda nums: nums[:-1]),
+    "one number more": _numbers(lambda nums: nums + nums[-1:]),
+    "text": _numbers(lambda nums: [b"abc"] * len(nums)),
+    "not utf-8": _numbers(lambda nums: [b"\xff\xfe"] * len(nums)),
+}
+
+
+@pytest.mark.parametrize("kind", ["field", "farfield"])
+@pytest.mark.parametrize("corruption", list(_ROW_CORRUPTIONS))
+def test_csv_readers_refuse_with_file_and_line(tmp_path, kind, corruption):
+    # both readers hold a file to one contract: the writer's header line,
+    # each row's leading cells byte for byte, its numbers and no row more
+    # or less; a refusal is a ValueError naming the file and the line
+    path, lead, read = _written_csv(tmp_path, kind)
+    read()
+    lines, line = _ROW_CORRUPTIONS[corruption](
+        path.read_bytes().split(b"\n")[:-1], lead)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError) as refusal:
+        read()
+    assert f"{path.name}, line {line}:" in str(refusal.value)
+
+
 def _write_csv_per_row(path, grid, values, fmt):
     """The per-row writer the lattice-line writer replaced, as reference."""
     cols = [f"x{i + 1}" for i in range(grid.dim)]

@@ -79,6 +79,30 @@ def test_compare_trees_refuses_real_differences(tmp_path):
     assert code == 1 and "1 of 20 pixels differ" in text
 
 
+def test_compare_trees_pgm_one_level_rule(tmp_path):
+    # value 7 sits within 1e-12 of the rounding boundary between levels 100
+    # and 101, so a last-digit change of the field moves its pixel by one
+    # level: that passes and is counted, while two levels, or one level
+    # over a field that fails its rule, fail
+    values = np.exp(np.linspace(0.0, 1.0, 20))
+    edge = values[-1] * 100.5 / 255
+    values[7] = edge * (1 - 1e-12)
+    a = _tree(tmp_path / "a", values, True)
+    moved = values.copy()
+    moved[7] = edge * (1 + 1e-12)
+    b = _tree(tmp_path / "b", moved, True)
+    code, text = _compare(a, b)
+    assert code == 0, text
+    assert "1 of 20 pixels differ by one grey level" in text
+    pgm = b / "cfg" / "field_1.pgm"
+    pgm.write_text(pgm.read_text().replace(" 101", " 102", 1))
+    code, text = _compare(a, b)
+    assert code == 1 and "1 of 20 pixels differ\n" in text
+    moved[7] = edge * (1 + 1e-6)
+    code, text = _compare(a, _tree(tmp_path / "c", moved, True))
+    assert code == 1 and "1 of 20 pixels differ\n" in text
+
+
 def _farfield_tree(root: Path, values: np.ndarray) -> Path:
     """A tree holding one far-field CSV of `values` on an 18-point band."""
     (root / "cfg").mkdir(parents=True)
