@@ -319,12 +319,7 @@ def _warn_aliasing(directions, planes, band) -> None:
     the indicator's period 2 pi / dk, past which the strip repeats."""
     period = TWO_PI / band.dk
     for j, d in enumerate(directions, start=1):
-        extent = 0.0
-        for g2, pts, _ in planes:
-            # a linear function peaks at the corners of each lattice plane
-            r2 = g2.resolution[1]
-            corners = pts[[0, r2 - 1, -r2, -1]] @ d.vec
-            extent = max(extent, float(np.ptp(corners)))
+        extent = max(float(np.ptp(pts @ d.vec)) for _, pts, _ in planes)
         if extent >= period:
             print(f"warning: direction {j} ({_direction_label(d)}): the "
                   f"lattice spans {extent:.6g} along x_hat, at least the "
@@ -384,36 +379,27 @@ def _lemma_verdict(config: ExperimentConfig, d: Direction) -> str:
 
 def cmd_classify(config: ExperimentConfig, out_dir) -> int:
     """Observability report per direction: CSV plus a console table."""
+    header = ["index", "theta", "phi", "xi_min", "xi_max", "width",
+              "duration", "class", "lemma"]
     rows = []
     for j, d in enumerate(config.directions, start=1):
         rep = traj_mod.xi_extrema(config.trajectory, d)
-        rows.append({
-            "index": j,
-            "theta": d.theta if d.theta is not None else float("nan"),
-            "phi": d.phi if d.phi is not None else float("nan"),
-            "xi_min": rep.xi_min,
-            "xi_max": rep.xi_max,
-            "width": rep.width,
-            "duration": rep.duration,
-            "class": "observable" if rep.observable else "non-observable",
-            "lemma": _lemma_verdict(config, d),
-        })
-    header = ["index", "theta", "phi", "xi_min", "xi_max", "width",
-              "duration", "class", "lemma"]
+        rows.append([j, d.theta if d.theta is not None else math.nan,
+                     d.phi if d.phi is not None else math.nan,
+                     rep.xi_min, rep.xi_max, rep.width, rep.duration,
+                     "observable" if rep.observable else "non-observable",
+                     _lemma_verdict(config, d)])
     out = _out_dir(config, out_dir)
     with open(out / "classify.csv", "w", encoding="utf-8") as f:
         f.write(",".join(header) + "\n")
         for r in rows:
-            f.write(",".join(
-                f"{r[h]:.17g}" if isinstance(r[h], float) else str(r[h])
-                for h in header) + "\n")
+            f.write(",".join(f"{c:.17g}" if isinstance(c, float) else str(c)
+                             for c in r) + "\n")
     fmt = "{:>5} {:>10} {:>10} {:>12} {:>12} {:>10} {:>9} {:>15} {:>15}"
     print(fmt.format(*header))
-    for r in rows:
-        print(fmt.format(r["index"], f"{r['theta']:.6g}", f"{r['phi']:.6g}",
-                         f"{r['xi_min']:.6g}", f"{r['xi_max']:.6g}",
-                         f"{r['width']:.6g}", f"{r['duration']:.6g}",
-                         r["class"], r["lemma"] or "-"))
+    for r in rows:  # an empty lemma prints as "-"
+        print(fmt.format(*(f"{c:.6g}" if isinstance(c, float) else c or "-"
+                           for c in r)))
     return 0
 
 
@@ -472,20 +458,18 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
     return 0
 
 
-def _score(fld: ScalarField, mask: np.ndarray, argmax: int,
-           margin: float) -> dict:
+def _score(fld: ScalarField, mask: np.ndarray, argmax: int) -> dict:
     """contrast_metric and argmax_in_mask of a mask that is neither empty
     nor full, with a non-finite metric as None (JSON null); {} otherwise."""
     if not mask.any() or mask.all():
         return {}
     entry = {k: v if math.isfinite(v) else None
-             for k, v in imaging.contrast_metric(fld, mask, margin).items()}
+             for k, v in imaging.contrast_metric(fld, mask).items()}
     entry["argmax_in_mask"] = bool(mask[argmax])
     return entry
 
 
-def cmd_compare(config: ExperimentConfig, field_path, out_file,
-                margin: float = imaging.DEFAULT_MARGIN) -> int:
+def cmd_compare(config: ExperimentConfig, field_path, out_file) -> int:
     """Metrics of a field CSV against each direction's strip mask and the
     Theta-domain, the AND of the nonempty strip masks."""
     if config.grid.dim != 2:
@@ -507,12 +491,12 @@ def cmd_compare(config: ExperimentConfig, field_path, out_file,
             domain &= mask
             n_strips += 1
             entry.update(strip_lo=s.lo, strip_hi=s.hi,
-                         **_score(fld, mask, argmax, margin))
+                         **_score(fld, mask, argmax))
         entries.append(entry)
     report = {"directions": entries, "theta_domain": None}
     if n_strips:
         report["theta_domain"] = {"n_strips": n_strips,
-                                  **_score(fld, domain, argmax, margin)}
+                                  **_score(fld, domain, argmax)}
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_file:
         Path(out_file).write_text(text + "\n", encoding="utf-8")
@@ -549,16 +533,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--field", required=True, help="field CSV to score")
     sp.add_argument("--out", default=None, help="metrics JSON file (default: stdout)")
-    sp.add_argument("--margin", type=float, default=imaging.DEFAULT_MARGIN)
     return p
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "compare" and not 0.0 <= args.margin < math.inf:
-            raise ValidationError(f"--margin must be finite and >= 0, got "
-                                  f"{args.margin!r}")
         config = load_config(args.config)
         if args.command == "synth":
             return cmd_synth(config, args.out)
@@ -569,7 +549,7 @@ def main(argv=None) -> int:
                 print("warning: --threads is ignored; image runs on one "
                       "thread", file=sys.stderr)
             return cmd_image(config, args.data, args.out)
-        return cmd_compare(config, args.field, args.out, args.margin)
+        return cmd_compare(config, args.field, args.out)
     except (DiagonalizationError, np.linalg.LinAlgError) as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return 3

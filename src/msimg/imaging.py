@@ -155,7 +155,7 @@ def _within_margin(mask: np.ndarray, spacing, margin: float) -> np.ndarray:
 
 
 # Default distance from a mask within which outside points are not scored,
-# in the grid's length unit; `compare --margin` and cmd_compare share it.
+# in the grid's length unit; `msimg compare` always scores with it.
 DEFAULT_MARGIN = 0.25
 
 
@@ -223,10 +223,13 @@ def _read_rows(path, header: bytes, prefixes, out: np.ndarray) -> None:
 
     Line 1 must be `header`.  Row r must start with the r-th of `prefixes`
     byte for byte and end in one number (real `out`) or two, re,im
-    (complex `out`), the only cells parsed; there are len(out) rows.
-    Every refusal is a ValueError naming the file and its 1-based line.
+    (complex `out`), the only cells parsed; there are len(out) rows.  A
+    real value may be +-inf, the reciprocal of a zero Picard sum, but not
+    NaN; re and im must be finite.  Every refusal is a ValueError naming
+    the file and its 1-based line.
     """
-    parse = _complex if out.dtype.kind == "c" else float
+    farfield = out.dtype.kind == "c"
+    parse = _complex if farfield else float
     r = -1
     with open(path, "rb") as f:
         if f.readline() != header:
@@ -246,6 +249,10 @@ def _read_rows(path, header: bytes, prefixes, out: np.ndarray) -> None:
         if r + 1 < len(out) or f.readline():
             raise ValueError(f"{path}, line {r + 3}: expected exactly "
                              f"{len(out)} rows after the header line")
+    bad = ~np.isfinite(out) if farfield else np.isnan(out)
+    if bad.any():
+        raise ValueError(f"{path}, line {int(bad.argmax()) + 2}: " + (
+            "re,im must be finite" if farfield else "the value w is NaN"))
 
 
 def write_field_csv(path, fld: ScalarField) -> None:

@@ -321,6 +321,40 @@ def test_classify_piecewise_width_equals_duration(tmp_path):
     assert float(row[5]) == pytest.approx(float(row[6]), abs=1e-12)
 
 
+@pytest.mark.parametrize("overrides, csv, table", [
+    # a 2D line: phi is nan and the lemma column holds its verdict
+    ({"directions": {"angles": [PI / 2, 3 * PI / 2, 0.0]}},
+     "1,1.5707963267948966,nan,2,6,4,2,observable,observable\n"
+     "2,4.7123889803846897,nan,0,0,0,2,non-observable,non-observable\n"
+     "3,0,nan,1,3,2,2,observable,observable\n",
+     "    1     1.5708        nan            2            6          4"
+     "         2      observable      observable\n"
+     "    2    4.71239        nan            0            0          0"
+     "         2  non-observable  non-observable\n"
+     "    3          0        nan            1            3          2"
+     "         2      observable      observable\n"),
+    # a 3D line: theta and phi, and no lemma applies
+    (dict(_config3d([{"axis": 0, "offset": 0.0}]),
+          directions={"angles": [[0.4, 0.8], [2.0, -1.0]]}),
+     "1,0.40000000000000002,0.80000000000000004,0,1.9210609940028851,"
+     "1.9210609940028851,1,observable,\n"
+     "2,2,-1,0,0.58385316345285765,0.58385316345285765,1,non-observable,\n",
+     "    1        0.4        0.8            0      1.92106    1.92106"
+     "         1      observable               -\n"
+     "    2          2         -1            0     0.583853   0.583853"
+     "         1  non-observable               -\n"),
+], ids=["line2d", "line3d"])
+def test_classify_output_bytes(tmp_path, capsys, overrides, csv, table):
+    path = _base_config(tmp_path, **overrides)
+    out = tmp_path / "rep"
+    assert _run("classify", "--config", path, "--out", out) == 0
+    assert (out / "classify.csv").read_text() == (
+        "index,theta,phi,xi_min,xi_max,width,duration,class,lemma\n" + csv)
+    assert capsys.readouterr().out == (
+        "index      theta        phi       xi_min       xi_max      width"
+        "  duration           class           lemma\n" + table)
+
+
 # ---------------------------------------------------------------------------
 # image
 # ---------------------------------------------------------------------------
@@ -450,6 +484,31 @@ def test_image_warns_when_lattice_exceeds_period(tmp_path, capsys,
     assert len(warnings) == warned
     if warned:
         assert "direction 1" in warnings[0] and "period" in warnings[0]
+
+
+def test_image_warns_when_a_slice_plane_exceeds_period(tmp_path, capsys,
+                                                       monkeypatch):
+    # at k_max = 12 pi, N = 18 the period 2 pi / dk is 3.  Along each x_hat
+    # the plane x3 = 1 spans less than that (2.20 and 1.57), the plane
+    # x1 = 0 more (4.80 and 4.90): each direction warns once, from plane 2
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(tmp_path, **dict(
+        _config3d([{"axis": 2, "offset": 1.0}, {"axis": 0, "offset": 0.0}]),
+        band={"k_max": 12 * PI, "count": 18},
+        directions={"angles": [[0.4, 0.8], [0.3, -2.0]]}))
+    data = tmp_path / "data"
+    assert _run("synth", "--config", path, "--out", data) == 0
+    capsys.readouterr()
+    assert _run("image", "--config", path, "--data", data,
+                "--out", tmp_path / "img") == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                if ln.startswith("warning:")]
+    assert warnings == [
+        f"warning: direction {j} (theta={theta} phi={phi}): the lattice "
+        f"spans {extent} along x_hat, at least the indicator period "
+        f"2*pi/dk = 3; the strip may alias"
+        for j, theta, phi, extent in [(1, 0.4, 0.8, 4.80165),
+                                      (2, 0.3, -2, 4.89621)]]
 
 
 def test_image_3d_slices(tmp_path, capsys, monkeypatch):
@@ -587,21 +646,20 @@ def test_compare_rejects_nan_field(tmp_path, capsys):
     assert "NaN" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("margin, angles", [
-    ("inf", [PI / 2]), ("nan", [PI / 2]), ("-0.1", [PI / 2]),
-    # no strip is scored, so no metric would see the margin
-    ("nan", [3 * PI / 2]), ("-5", [3 * PI / 2]),
-], ids=["inf", "nan", "-0.1", "non_observable_nan", "non_observable_-5"])
-def test_compare_rejects_bad_margin(tmp_path, capsys, margin, angles):
-    path = _base_config(tmp_path, directions={"angles": angles})
+def test_compare_has_no_margin_option(tmp_path, capsys):
+    # compare scores with imaging.DEFAULT_MARGIN; --margin is an error of
+    # the command line, before anything is read or written
+    path = _base_config(tmp_path)
     cfg = cli.load_config(path)
     field_path = tmp_path / "field.csv"
     m.write_field_csv(field_path, m.ScalarField(cfg.grid,
                                                 np.ones(cfg.grid.size)))
     report = tmp_path / "metrics.json"
-    assert _run("compare", "--config", path, "--field", field_path,
-                "--margin", margin, "--out", report) == 2
-    assert "--margin" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        _run("compare", "--config", path, "--field", field_path,
+             "--margin", 0.25, "--out", report)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --margin 0.25" in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -152,6 +152,10 @@ def test_contrast_metric_errors():
     almost_full[0] = False
     with pytest.raises(ValueError):
         m.contrast_metric(fld, almost_full, margin=5.0)
+    half = grid.points()[:, 0] <= 0.5
+    for margin in (math.inf, math.nan, -0.1):
+        with pytest.raises(ValueError, match="margin"):
+            m.contrast_metric(fld, half, margin=margin)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -287,6 +291,7 @@ _ROW_CORRUPTIONS = {
     "one number more": _numbers(lambda nums: nums + nums[-1:]),
     "text": _numbers(lambda nums: [b"abc"] * len(nums)),
     "not utf-8": _numbers(lambda nums: [b"\xff\xfe"] * len(nums)),
+    "nan": _numbers(lambda nums: [b"nan"] * len(nums)),
 }
 
 
@@ -304,6 +309,18 @@ def test_csv_readers_refuse_with_file_and_line(tmp_path, kind, corruption):
     with pytest.raises(ValueError) as refusal:
         read()
     assert f"{path.name}, line {line}:" in str(refusal.value)
+
+
+@pytest.mark.parametrize("cells", [[b"inf", b"1"], [b"1", b"-inf"]],
+                         ids=["re", "im"])
+def test_farfield_csv_refuses_inf_with_file_and_line(tmp_path, cells):
+    # a field value may be +-inf, a far-field number may not
+    path, lead, read = _written_csv(tmp_path, "farfield")
+    lines, line = _numbers(lambda nums: cells)(
+        path.read_bytes().split(b"\n")[:-1], lead)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=f"{path.name}, line {line}: "):
+        read()
 
 
 def _write_csv_per_row(path, grid, values, fmt):
