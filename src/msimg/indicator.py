@@ -26,10 +26,11 @@ R has rank at most 2h, and Spectrum.picard_operator keeps, once per
 spectrum, interval and band, a (2h, 2h) factor F with ||F u|| = ||R u||:
 the triangular factor of a Householder QR of R with rows sorted by
 decreasing norm and columns pivoted, the pivot order folded back into
-F's columns.  Every indicator evaluates ||F u||^2: one real
-matrix-vector product per point, and on a grid one real cosine and sine
-and h complex products per point, N^2 multiply-adds where R takes 2 N^2 and
-the complex G 4 N^2.  At a single point the u of every direction come
+F's columns.  Every indicator evaluates ||F u||^2, N^2 multiply-adds per
+point where R takes 2 N^2 and the complex G 4 N^2.  On a lattice the
+grid kernel rotates F once per row instead of building each point's u
+(picard_sums_grid), so no lattice point takes a cosine, sine or complex
+product of its own.  At a single point the u of every direction come
 from one exponential of the directions' projections times the band's
 phase rates.  The series is a trigonometric polynomial in
 x_hat . y with period 2 pi / dk, so a search region wider than that along
@@ -53,10 +54,10 @@ from .trajectory import Direction, TimeInterval
 # treated as non-observable and removed from multi-direction indicators.
 DEFAULT_THRESHOLD = 3.5e3
 
-# Points per block of the grid kernel.  It bounds the kernel's working set
-# to a few (N, POINT_CHUNK) arrays whatever the number of points; callers
-# that split a point array at multiples of it reproduce the unsplit result
-# bit for bit.
+# Points per block of the grid kernel: a block holds whole lattice rows,
+# or one chunk of this many columns of a longer row, so the kernel's
+# working set stays a few (2h, POINT_CHUNK) arrays whatever the number of
+# points.
 POINT_CHUNK = 2048
 
 
@@ -67,30 +68,98 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
 
     Evaluates ||F u||^2 with the spectrum's Picard operator F
     (Spectrum.picard_operator) and u = (Re w_j, Im w_j)_{j=1..h},
-    w_j = e^{-i (j - 1/2) dk x_hat . y}.  The w_j are running products of
-    w_1 and w_1^2, built per block of POINT_CHUNK points, so memory stays
-    bounded by the block; each block's projections x_hat . y are taken
-    from its own rows of `points`.  The result is periodic in x_hat . y
-    with period 2 pi / dk.
+    w_j = e^{-i (j - 1/2) dk x_hat . y}.  `points` is read as the rows of
+    a row-major lattice when it is one (_lattice_rows), and as one row
+    otherwise.  On the lattice x_hat . y = alpha_r + beta_c over rows r and
+    columns c, so w_j = w_j(alpha_r) w_j(beta_c), and multiplying by
+    w_j(alpha_r) rotates F's column pair j: each row gets its own rotated
+    F_r, and one phase matrix U = u(beta) serves every row.  A block of
+    rows is one product of the stacked F_r with U followed by column sums
+    of squares.  A single row has alpha = 0, whose rotation leaves F
+    exact.  The result is periodic in x_hat . y with period 2 pi / dk.
     """
     points = np.asarray(points, dtype=float)
     F = spectrum.picard_operator(interval, band)
     h = F.shape[1] // 2
+    rows, fast = _lattice_rows(points)
+    cols = len(points) // rows
+    if rows == 1:
+        alpha, beta_vec = np.zeros(1), direction.vec
+    else:
+        alpha = points[::cols] @ np.where(fast, 0.0, direction.vec)
+        beta_vec = np.where(fast, direction.vec, 0.0)
+    # column pairs (2j, 2j + 1) as complex columns: times conj(w_j(alpha))
+    # they are the pair rotated by alpha
+    pairs = F.view(complex)
+    # whole rows per block; their operators, (2h, 2h) each, stay within
+    # POINT_CHUNK rows of 2h as well
+    per_block = max(1, POINT_CHUNK // max(cols, 2 * h))
     sums = np.empty(len(points))
-    for start in range(0, len(points), POINT_CHUNK):
-        block = points[start:start + POINT_CHUNK] @ direction.vec
-        W = np.empty((h, len(block)), dtype=complex)
-        t = (-0.5 * band.dk) * block  # w_1 = e^{i t}, cheaper as cos, sin
-        np.cos(t, out=W[0].real)
-        np.sin(t, out=W[0].imag)
-        step = W[0] * W[0]
-        for j in range(1, h):
-            np.multiply(W[j - 1], step, out=W[j])
-        U = np.empty((h, 2, len(block)))
-        U[:, 0], U[:, 1] = W.real, W.imag
-        c = F @ U.reshape(2 * h, len(block))
-        np.einsum("ij,ij->j", c, c, out=sums[start:start + len(block)])
+    lattice = sums.reshape(rows, cols)
+    for a0 in range(0, rows, POINT_CHUNK):
+        A = _phases(alpha[a0:a0 + POINT_CHUNK], band.dk, h)
+        spin = np.ascontiguousarray(A.T).view(complex).conj()[:, None]
+        for c0 in range(0, cols, POINT_CHUNK):
+            U = _phases(points[c0:min(c0 + POINT_CHUNK, cols)] @ beta_vec,
+                        band.dk, h)
+            m = U.shape[1]
+            for r0 in range(0, len(spin), per_block):
+                block = pairs * spin[r0:r0 + per_block]
+                c = (block.view(float).reshape(-1, 2 * h) @ U).reshape(
+                    len(block), 2 * h, m)
+                np.einsum("rkc,rkc->rc", c, c,
+                          out=lattice[a0 + r0:a0 + r0 + len(block), c0:c0 + m])
     return sums
+
+
+def _lattice_rows(points: np.ndarray):
+    """(rows, fast): `points` as `rows` whole rows of a row-major lattice.
+
+    The fast coordinates are those where points[1] differs from points[0].
+    `points` is a lattice of rows of length L when every row's fast
+    coordinates repeat the first row's bit for bit and its other
+    coordinates are constant along the row; L is where the first row's
+    other coordinates first change.  Anything else (scattered points,
+    fewer than 4, a lattice cut mid-row) is one row, rows = 1.  Compares
+    each coordinate once as a (rows, L) view, without copying `points`.
+    """
+    n = len(points)
+    if n < 4:
+        return 1, None
+    fast = points[1] != points[0]
+    slow = np.flatnonzero(~fast)
+    if len(slow) == 0:
+        return 1, None
+    # searched over doubling prefixes, so this costs O(L), not O(n)
+    cols = span = 0
+    while not cols and span < n:
+        span = min(2 * span + 64, n)
+        moved = (points[:span, slow] != points[0, slow]).any(axis=1)
+        cols = int(moved.argmax())
+    if not cols or n % cols:
+        return 1, None
+    rows = n // cols
+    for k in range(points.shape[1]):
+        coord = points[:, k].reshape(rows, cols)
+        if not (coord == (coord[:1] if fast[k] else coord[:, :1])).all():
+            return 1, None
+    return rows, fast
+
+
+def _phases(proj: np.ndarray, dk: float, h: int) -> np.ndarray:
+    """u = (Re w_1, Im w_1, ..., Re w_h, Im w_h) of every projection p,
+    w_j = e^{-i (j - 1/2) dk p}, as a real (2h, len(proj)) array: one
+    cosine and sine seed w_1, then running products with w_1^2."""
+    W = np.empty((h, len(proj)), dtype=complex)
+    t = (-0.5 * dk) * proj  # w_1 = e^{i t}, cheaper as cos, sin
+    np.cos(t, out=W[0].real)
+    np.sin(t, out=W[0].imag)
+    step = W[0] * W[0]
+    for j in range(1, h):
+        np.multiply(W[j - 1], step, out=W[j])
+    U = np.empty((h, 2, len(proj)))
+    U[:, 0], U[:, 1] = W.real, W.imag
+    return U.reshape(2 * h, len(proj))
 
 
 def indicator_single(spectrum: Spectrum, direction: Direction, y,

@@ -226,18 +226,6 @@ def test_picard_sums_grid_matches_picard_sum(vertical_line, n, mode, count):
         assert abs(g - want.total) <= tol
 
 
-def test_picard_sums_grid_split_at_chunks_bit_identical(vertical_line,
-                                                        default_band):
-    spec, d = _spectrum_for(vertical_line, 1.0, default_band)
-    iv = vertical_line.interval
-    pts = m.make_grid([(-2, 2), (0, 4)], (101, 101)).points()
-    full = m.picard_sums_grid(spec, d, pts, iv, default_band)
-    for a, b in ((0, POINT_CHUNK), (POINT_CHUNK, 3 * POINT_CHUNK),
-                 (2 * POINT_CHUNK, len(pts))):
-        part = m.picard_sums_grid(spec, d, pts[a:b], iv, default_band)
-        assert np.array_equal(part, full[a:b])
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(n=st.integers(1, 72), k_max=st.floats(0.1, 60.0),
        proj=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
@@ -625,3 +613,63 @@ def test_phase_rates_kept_per_band():
     # w_j = e^{rate_j x_hat . y}, j = 1..ceil(N / 2), rate_j = -i dk (j - 1/2)
     assert_allclose(rates, -1j * band.dk * (np.arange(1, 5) - 0.5),
                     rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The grid kernel on lattice rows
+# ---------------------------------------------------------------------------
+
+def _assert_grid_matches_picard_sum(spec, d, pts, iv, band):
+    got = m.picard_sums_grid(spec, d, pts, iv, band)
+    assert got.shape == (len(pts),)
+    for g, p in zip(got, pts):
+        want = ref.picard_sum(spec, ref.test_vector(d, p, iv, band))
+        bound = _rounding_bound(spec, want, band, iv, float(d.vec @ p))
+        assert abs(g - want.total) <= max(1e-9 * want.total, bound)
+
+
+@pytest.mark.parametrize("indexing", ["ij", "xy"])
+@pytest.mark.parametrize("mode", [m.MODE_RIGOROUS, m.MODE_PAPER])
+@pytest.mark.parametrize("n", [1, 2, 17, 18, 72])
+def test_picard_sums_grid_lattice_matches_picard_sum(n, mode, indexing):
+    # 37 rows of 61 points: more than POINT_CHUNK points, so the rows come
+    # in two blocks; "xy" order makes the first coordinate the fast one
+    traj, band, spectra = _query_spectra(2, n, mode)
+    a, b = np.linspace(-6.0, 6.0, 37), np.linspace(-4.0, 8.0, 61)
+    if indexing == "xy":
+        a, b = b, a
+    mesh = np.meshgrid(a, b, indexing=indexing)
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    assert len(pts) > POINT_CHUNK
+    assert m.indicator._lattice_rows(pts)[0] == 37
+    _assert_grid_matches_picard_sum(spectra[1], _DIRECTIONS[2][1], pts,
+                                    traj.interval, band)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_picard_sums_grid_slice_plane_matches_picard_sum(axis):
+    # a slice plane holds one constant coordinate and is a lattice of the
+    # two others, whichever axis it fixes
+    traj, band, spectra = _query_spectra(3, 18, m.MODE_RIGOROUS)
+    grid3 = m.make_grid([(-2, 2), (-3, 1), (-1, 4)], (13, 17, 19))
+    grid2, pts, _ = m.slice_grid(grid3, m.SliceSpec(axis, 0.3))
+    assert m.indicator._lattice_rows(pts)[0] == grid2.resolution[0]
+    for spec, d in zip(spectra, _DIRECTIONS[3]):
+        _assert_grid_matches_picard_sum(spec, d, pts, traj.interval, band)
+
+
+@pytest.mark.parametrize("case", ["fast moved", "slow moved", "cut mid-row"])
+def test_picard_sums_grid_broken_lattice_is_scattered(case):
+    # one point off the lattice, or a lattice cut mid-row, is read as one
+    # row; the moved point sits inside the lattice, past the first row
+    # (which gives the column phases) and the first column (the row phases)
+    traj, band, spectra = _query_spectra(2, 18, m.MODE_RIGOROUS)
+    pts = m.make_grid([(-2, 2), (0, 4)], (9, 11)).points()
+    assert m.indicator._lattice_rows(pts)[0] == 9
+    if case == "cut mid-row":
+        pts = pts[:-3]
+    else:
+        pts[4 * 11 + 6, 1 if case == "fast moved" else 0] += 0.37
+    _assert_grid_matches_picard_sum(spectra[1], _DIRECTIONS[2][1], pts,
+                                    traj.interval, band)
+    assert m.indicator._lattice_rows(pts)[0] == 1
