@@ -68,23 +68,33 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
 
     Evaluates ||F u||^2 with the spectrum's Picard operator F
     (Spectrum.picard_operator) and u = (Re w_j, Im w_j)_{j=1..h},
-    w_j = e^{-i (j - 1/2) dk x_hat . y}.  `points` is read as the rows of
-    a row-major lattice when it is one (_lattice_rows), and as one row
-    otherwise.  On the lattice x_hat . y = alpha_r + beta_c over rows r and
-    columns c, so w_j = w_j(alpha_r) w_j(beta_c), and multiplying by
-    w_j(alpha_r) rotates F's column pair j: each row gets its own rotated
-    F_r, and one phase matrix U = u(beta) serves every row.  A block of
-    rows is one product of the stacked F_r with U followed by column sums
-    of squares.  A single row has alpha = 0, whose rotation leaves F
-    exact.  The result is periodic in x_hat . y with period 2 pi / dk.
+    w_j = e^{-i (j - 1/2) dk x_hat . y}.  Each call runs the lattice test
+    _lattice_rows on `points`, which are read as the rows of a row-major
+    lattice when they are one, and as one row otherwise.  On the lattice
+    x_hat . y = alpha_r + beta_c over rows r and columns c, so
+    w_j = w_j(alpha_r) w_j(beta_c), and multiplying by w_j(alpha_r)
+    rotates F's column pairs j: each row gets its own rotated F_r, and one
+    phase matrix U = u(beta) serves every row.  A block of rows is one
+    product of the stacked F_r with U followed by column sums of squares.
+    A single row has alpha = 0 and uses F itself.  The result is periodic
+    in x_hat . y with period 2 pi / dk.
     """
     points = np.asarray(points, dtype=float)
+    return _grid_sums(spectrum, direction, points, _lattice_rows(points),
+                      interval, band)
+
+
+def _grid_sums(spectrum: Spectrum, direction: Direction, points: np.ndarray,
+               lattice, interval: TimeInterval,
+               band: FrequencyBand) -> np.ndarray:
+    """picard_sums_grid on a float `points` array whose lattice test
+    result `lattice` = _lattice_rows(points) the caller has taken."""
     F = spectrum.picard_operator(interval, band)
     h = F.shape[1] // 2
-    rows, fast = _lattice_rows(points)
+    rows, fast = lattice
     cols = len(points) // rows
     if rows == 1:
-        alpha, beta_vec = np.zeros(1), direction.vec
+        beta_vec = direction.vec
     else:
         alpha = points[::cols] @ np.where(fast, 0.0, direction.vec)
         beta_vec = np.where(fast, direction.vec, 0.0)
@@ -95,20 +105,23 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
     # POINT_CHUNK rows of 2h as well
     per_block = max(1, POINT_CHUNK // max(cols, 2 * h))
     sums = np.empty(len(points))
-    lattice = sums.reshape(rows, cols)
+    grid = sums.reshape(rows, cols)
     for a0 in range(0, rows, POINT_CHUNK):
-        A = _phases(alpha[a0:a0 + POINT_CHUNK], band.dk, h)
-        spin = np.ascontiguousarray(A.T).view(complex).conj()[:, None]
+        if rows > 1:
+            A = _phases(alpha[a0:a0 + POINT_CHUNK], band.dk, h)
+            spin = np.ascontiguousarray(A.T).view(complex).conj()[:, None]
         for c0 in range(0, cols, POINT_CHUNK):
             U = _phases(points[c0:min(c0 + POINT_CHUNK, cols)] @ beta_vec,
                         band.dk, h)
             m = U.shape[1]
-            for r0 in range(0, len(spin), per_block):
-                block = pairs * spin[r0:r0 + per_block]
-                c = (block.view(float).reshape(-1, 2 * h) @ U).reshape(
+            for r0 in range(0, min(rows - a0, POINT_CHUNK), per_block):
+                # the rotation of a single row, by alpha = 0, is F itself
+                block = (F[None] if rows == 1 else
+                         (pairs * spin[r0:r0 + per_block]).view(float))
+                c = (block.reshape(-1, 2 * h) @ U).reshape(
                     len(block), 2 * h, m)
                 np.einsum("rkc,rkc->rc", c, c,
-                          out=lattice[a0 + r0:a0 + r0 + len(block), c0:c0 + m])
+                          out=grid[a0 + r0:a0 + r0 + len(block), c0:c0 + m])
     return sums
 
 
@@ -260,10 +273,14 @@ def filtered_field_values(spectra, directions, points: np.ndarray,
     """Grid values of the truncated multi-direction indicator.
 
     Returns (values, kept_indices); `values` is None when every direction
-    is dropped by the filter.  combine_directions draws the directions'
-    picard_sums_grid one at a time, so at most one direction's sums are
-    held beside the running total.
+    is dropped by the filter.  The lattice test _lattice_rows runs once
+    per call, and its result serves every direction's grid sums, the bits
+    of picard_sums_grid.  combine_directions draws those sums one
+    direction at a time, so at most one direction's sums are held beside
+    the running total.
     """
+    points = np.asarray(points, dtype=float)
+    lattice = _lattice_rows(points)
     return combine_directions(
-        (picard_sums_grid(spec, d, points, interval, band)
+        (_grid_sums(spec, d, points, lattice, interval, band)
          for spec, d in zip(spectra, directions)), threshold)

@@ -673,3 +673,55 @@ def test_picard_sums_grid_broken_lattice_is_scattered(case):
     _assert_grid_matches_picard_sum(spectra[1], _DIRECTIONS[2][1], pts,
                                     traj.interval, band)
     assert m.indicator._lattice_rows(pts)[0] == 1
+
+
+def test_lattice_test_runs_once_per_call(monkeypatch, vertical_line,
+                                         default_band):
+    # filtered_field_values tests the lattice once for all its directions
+    calls = []
+    lattice_rows = m.indicator._lattice_rows
+
+    def counting(points):
+        calls.append(len(points))
+        return lattice_rows(points)
+
+    monkeypatch.setattr(m.indicator, "_lattice_rows", counting)
+    spectra, dirs = _six_directions(vertical_line, default_band)
+    pts = m.make_grid([(-2, 2), (0, 4)], (21, 23)).points()
+    iv = vertical_line.interval
+    _, kept = m.filtered_field_values(spectra, dirs, pts, iv, default_band,
+                                      np.inf)
+    assert len(kept) == 6 and calls == [len(pts)]
+    m.picard_sums_grid(spectra[1], dirs[1], pts, iv, default_band)
+    assert calls == [len(pts)] * 2
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sweep_points_are_lattices(dim):
+    # points built as bench/workloads.py's grid_sweep builds them (the 3D
+    # orbit on its x1 = 0 plane) are read as whole rows, not as one row
+    a, b = np.linspace(-1.5, 2.5, 61), np.linspace(-0.5, 3.5, 61)
+    g1, g2 = np.meshgrid(a, b, indexing="ij")
+    cols = [g1.ravel(), g2.ravel()]
+    if dim == 3:
+        cols = [np.zeros(g1.size), *cols]
+    assert m.indicator._lattice_rows(np.stack(cols, axis=1))[0] == 61
+
+
+@pytest.mark.parametrize("threshold", [m.DEFAULT_THRESHOLD, np.inf])
+def test_filtered_field_equals_combined_directions_3d(threshold):
+    # the 3D twin of test_filtered_field_equals_combined_directions, on a
+    # slice plane of more than POINT_CHUNK points
+    traj, band, spectra = _query_spectra(3, 18, m.MODE_RIGOROUS)
+    grid3 = m.make_grid([(-2, 2), (-3, 1), (-1, 4)], (41, 17, 61))
+    _, pts, _ = m.slice_grid(grid3, m.SliceSpec(1, 0.5))
+    assert len(pts) > POINT_CHUNK
+    assert m.indicator._lattice_rows(pts)[0] == 41
+    dirs, iv = _DIRECTIONS[3], traj.interval
+    sums = [m.picard_sums_grid(spec, d, pts, iv, band)
+            for spec, d in zip(spectra, dirs)]
+    want, want_kept = m.combine_directions(sums, threshold)
+    got, kept = m.filtered_field_values(spectra, dirs, pts, iv, band,
+                                        threshold)
+    assert kept == want_kept and kept
+    assert got.tobytes() == want.tobytes()
