@@ -76,8 +76,8 @@ def picard_sums_grid(spectrum: Spectrum, direction: Direction,
     rotates F's column pairs j: each row gets its own rotated F_r, and one
     phase matrix U = u(beta) serves every row.  A block of rows is one
     product of the stacked F_r with U followed by column sums of squares.
-    A single row has alpha = 0 and uses F itself.  The result is periodic
-    in x_hat . y with period 2 pi / dk.
+    A single row has alpha = 0: phases of 1 keep F's bits, up to the sign
+    of zeros.  The result is periodic in x_hat . y with period 2 pi / dk.
     """
     points = np.asarray(points, dtype=float)
     return _grid_sums(spectrum, direction, points, _lattice_rows(points),
@@ -88,13 +88,14 @@ def _grid_sums(spectrum: Spectrum, direction: Direction, points: np.ndarray,
                lattice, interval: TimeInterval,
                band: FrequencyBand) -> np.ndarray:
     """picard_sums_grid on a float `points` array whose lattice test
-    result `lattice` = _lattice_rows(points) the caller has taken."""
+    result `lattice` = _lattice_rows(points) the caller has taken; one
+    row (scattered points, none) runs the same block loop at alpha = 0."""
     F = spectrum.picard_operator(interval, band)
     h = F.shape[1] // 2
     rows, fast = lattice
     cols = len(points) // rows
     if rows == 1:
-        beta_vec = direction.vec
+        alpha, beta_vec = np.zeros(1), direction.vec
     else:
         alpha = points[::cols] @ np.where(fast, 0.0, direction.vec)
         beta_vec = np.where(fast, direction.vec, 0.0)
@@ -107,17 +108,14 @@ def _grid_sums(spectrum: Spectrum, direction: Direction, points: np.ndarray,
     sums = np.empty(len(points))
     grid = sums.reshape(rows, cols)
     for a0 in range(0, rows, POINT_CHUNK):
-        if rows > 1:
-            A = _phases(alpha[a0:a0 + POINT_CHUNK], band.dk, h)
-            spin = np.ascontiguousarray(A.T).view(complex).conj()[:, None]
+        A = _phases(alpha[a0:a0 + POINT_CHUNK], band.dk, h)
+        spin = np.ascontiguousarray(A.T).view(complex).conj()[:, None]
         for c0 in range(0, cols, POINT_CHUNK):
             U = _phases(points[c0:min(c0 + POINT_CHUNK, cols)] @ beta_vec,
                         band.dk, h)
             m = U.shape[1]
             for r0 in range(0, min(rows - a0, POINT_CHUNK), per_block):
-                # the rotation of a single row, by alpha = 0, is F itself
-                block = (F[None] if rows == 1 else
-                         (pairs * spin[r0:r0 + per_block]).view(float))
+                block = (pairs * spin[r0:r0 + per_block]).view(float)
                 c = (block.reshape(-1, 2 * h) @ U).reshape(
                     len(block), 2 * h, m)
                 np.einsum("rkc,rkc->rc", c, c,
@@ -133,16 +131,15 @@ def _lattice_rows(points: np.ndarray):
     coordinates repeat the first row's bit for bit and its other
     coordinates are constant along the row; L is where the first row's
     other coordinates first change.  Anything else (scattered points,
-    fewer than 4, a lattice cut mid-row) is one row, rows = 1.  Compares
-    each coordinate once as a (rows, L) view, without copying `points`.
+    fewer than 4, a lattice cut mid-row, no slow coordinate) is one row,
+    rows = 1.  Compares each coordinate once as a (rows, L) view, without
+    copying `points`.
     """
     n = len(points)
     if n < 4:
         return 1, None
     fast = points[1] != points[0]
     slow = np.flatnonzero(~fast)
-    if len(slow) == 0:
-        return 1, None
     # searched over doubling prefixes, so this costs O(L), not O(n)
     cols = span = 0
     while not cols and span < n:

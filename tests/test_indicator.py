@@ -205,7 +205,7 @@ def _rounding_bound(spectrum, result, band, interval, proj):
 
 @pytest.mark.parametrize("mode", [m.MODE_RIGOROUS, m.MODE_PAPER])
 @pytest.mark.parametrize("n", [1, 2, 18, 72])
-@pytest.mark.parametrize("count", [0, 1, 2 * POINT_CHUNK + 37])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 2 * POINT_CHUNK + 37])
 def test_picard_sums_grid_matches_picard_sum(vertical_line, n, mode, count):
     band = m.FrequencyBand(3 * math.pi, n)
     spec, d = _spectrum_for(vertical_line, 1.0, band, mode)
@@ -658,16 +658,23 @@ def test_picard_sums_grid_slice_plane_matches_picard_sum(axis):
         _assert_grid_matches_picard_sum(spec, d, pts, traj.interval, band)
 
 
-@pytest.mark.parametrize("case", ["fast moved", "slow moved", "cut mid-row"])
+@pytest.mark.parametrize("case", ["fast moved", "slow moved", "cut mid-row",
+                                  "shuffled"])
 def test_picard_sums_grid_broken_lattice_is_scattered(case):
-    # one point off the lattice, or a lattice cut mid-row, is read as one
-    # row; the moved point sits inside the lattice, past the first row
-    # (which gives the column phases) and the first column (the row phases)
+    # one point off the lattice, a lattice cut mid-row, or its points in
+    # another order, is read as one row; the moved point sits inside the
+    # lattice, past the first row (which gives the column phases) and the
+    # first column (the row phases)
     traj, band, spectra = _query_spectra(2, 18, m.MODE_RIGOROUS)
     pts = m.make_grid([(-2, 2), (0, 4)], (9, 11)).points()
     assert m.indicator._lattice_rows(pts)[0] == 9
     if case == "cut mid-row":
         pts = pts[:-3]
+    elif case == "shuffled":
+        # the first two points differ in every coordinate, so the search
+        # for a row length has no coordinate to watch
+        pts = pts[np.random.default_rng(0).permutation(len(pts))]
+        assert (pts[1] != pts[0]).all()
     else:
         pts[4 * 11 + 6, 1 if case == "fast moved" else 0] += 0.37
     _assert_grid_matches_picard_sum(spectra[1], _DIRECTIONS[2][1], pts,
