@@ -14,7 +14,7 @@ from .spectral import (MODE_PAPER, MODE_RIGOROUS, DiagonalizationError,
 from .trajectory import (Arc, Direction, Line, ObservabilityReport,
                          PiecewiseLinear, Sampled, Strip, ThetaDomain,
                          TimeInterval, Trajectory, classify,
-                         division_points, h_values, observable_set_arc,
+                         division_points, observable_set_arc,
                          observable_set_line, projection_hull, strip,
                          theta_domain, xi_extrema)
 

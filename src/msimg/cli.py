@@ -24,7 +24,7 @@ from .forward import FrequencyBand, NoiseSpec
 from .imaging import ScalarField, SearchGrid, SliceSpec
 from .spectral import DiagonalizationError, MODE_PAPER, MODE_RIGOROUS
 from .trajectory import (TWO_PI, Arc, Direction, Line, PiecewiseLinear,
-                         Sampled, TimeInterval, angle_in_set)
+                         TimeInterval, angle_in_set)
 
 # Largest |sinc(tau_n T / 2)| taken as zero: at dk T = 2 pi m the rounded
 # weights are ~1e-17, not 0, and W comes out ~1e17 everywhere.
@@ -167,9 +167,8 @@ def _build_trajectory(spec: dict) -> traj_mod.Trajectory:
                                       _integral, 1),
                    interval=interval)
     if variant in ("piecewise", "sampled"):
-        cls = PiecewiseLinear if variant == "piecewise" else Sampled
-        return cls(_field(spec, "trajectory.times", _vector),
-                   _field(spec, "trajectory.points", _vector))
+        return PiecewiseLinear(_field(spec, "trajectory.times", _vector),
+                               _field(spec, "trajectory.points", _vector))
     raise ValidationError(f"unknown trajectory variant {variant!r}")
 
 

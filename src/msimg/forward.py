@@ -6,7 +6,7 @@ of the retarded phase h(t) = t + x_hat . a(t) over the emission interval,
     w(x_hat, k) = integral_{t_min}^{t_max} exp(-i k h(t)) dt,
 
 in closed form on every orbit: a sum of sinc terms over the segments where
-h is affine (Line, PiecewiseLinear, Sampled), and a Jacobi-Anger series of
+h is affine (Line, PiecewiseLinear), and a Jacobi-Anger series of
 the same sinc terms on an Arc (Abramowitz and Stegun, ch. 9).  Negative
 wavenumbers follow from conjugate symmetry w(x_hat, -k) = conj(w(x_hat, k))
 of real time signals.  The adaptive quadrature they replaced is the tests'

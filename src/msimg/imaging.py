@@ -165,7 +165,8 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
 
     Outside points within `margin` of the mask (Euclidean distance over
     the lattice) are excluded, so the indicator's smooth shoulder at the
-    strip boundary does not dilute the outside statistic.
+    strip boundary does not dilute the outside statistic.  When no outside
+    point is left, the outside median and the ratio are NaN.
     """
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
@@ -174,11 +175,13 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
         raise ValueError("mask must be nonempty and non-full")
     outside = ~_within_margin(mask.reshape(fld.grid.shape),
                               fld.grid.spacing(), margin).ravel()
-    if not outside.any():
-        raise ValueError("no outside points remain after margin exclusion")
     inside_median = float(np.median(fld.values[mask]))
-    outside_median = float(np.median(fld.values[outside]))
-    ratio = inside_median / outside_median if outside_median > 0 else float("inf")
+    if not outside.any():
+        outside_median = ratio = math.nan
+    else:
+        outside_median = float(np.median(fld.values[outside]))
+        ratio = (inside_median / outside_median if outside_median > 0
+                 else math.inf)
     return {"inside_median": inside_median,
             "outside_median": outside_median,
             "ratio": ratio}

@@ -49,7 +49,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    mode: str
     _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -235,5 +234,5 @@ def f_sharp_spectrum(F: np.ndarray, mode: str = MODE_RIGOROUS) -> Spectrum:
     else:
         raise ValueError(f"unknown mode {mode!r}")
     order = np.argsort(-lam, kind="stable")
-    return Spectrum(lam[order], _fix_phases(vecs[:, order]), mode)
+    return Spectrum(lam[order], _fix_phases(vecs[:, order]))
 

@@ -154,10 +154,6 @@ class Line(Trajectory):
     def dim(self) -> int:
         return self._unit.shape[0]
 
-    @property
-    def unit(self) -> np.ndarray:
-        return self._unit
-
     def positions(self, ts):
         ts = np.asarray(ts, dtype=float)
         return self.offset[None, :] + self.speed * ts[:, None] * self._unit[None, :]
@@ -280,24 +276,13 @@ class Sampled(PiecewiseLinear):
 
 
 # ---------------------------------------------------------------------------
-# Retarded phase h
+# Critical times: division points of h', extrema of h and of the projection
 # ---------------------------------------------------------------------------
 
 def _check_dims(traj: Trajectory, direction: Direction):
     if traj.dim != direction.dim:
         raise ValueError(f"trajectory is {traj.dim}D but direction is {direction.dim}D")
 
-
-def h_values(traj: Trajectory, direction: Direction, ts: np.ndarray) -> np.ndarray:
-    """Vectorized h over an array of times."""
-    _check_dims(traj, direction)
-    ts = np.asarray(ts, dtype=float)
-    return ts + traj.positions(ts) @ direction.vec
-
-
-# ---------------------------------------------------------------------------
-# Critical times: division points of h', extrema of h and of the projection
-# ---------------------------------------------------------------------------
 
 def _sign3(x: float) -> int:
     if x > PLATEAU_TOL:
@@ -373,9 +358,9 @@ def _range_of(traj: Trajectory, direction: Direction, c: float):
     """Exact range of c*t + x_hat . a(t) over the interval, c in {0, 1}:
     of h for c = 1, of the projection x_hat . a for c = 0.
 
-    The function is read only where it can turn.  A Line, PiecewiseLinear
-    or Sampled orbit is affine between its vertices (`vertices`: a Line's
-    two endpoints, built once), so its range is that of the vertex values
+    The function is read only where it can turn.  A Line or PiecewiseLinear
+    orbit is affine between its vertices (`vertices`: a Line's two
+    endpoints, built once), so its range is that of the vertex values
     `points @ x_hat` (plus `times` for h), one matrix-vector product.  An
     Arc is read at its endpoints and the closed-form turning times of
     _arc_critical_times, all in one positions(ts) @ x_hat: BLAS may round

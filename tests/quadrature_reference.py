@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from msimg.trajectory import (Direction, PiecewiseLinear, Trajectory,
-                              h_values)
+from msimg.trajectory import Direction, PiecewiseLinear, Trajectory
 
 QUAD_TOL = 1e-10
 GL_ORDER = 20
@@ -44,7 +43,7 @@ def phase_integral(traj: Trajectory, direction: Direction, k: float,
         half = 0.5 * (edges[1:] - edges[:-1])
         mids = 0.5 * (edges[1:] + edges[:-1])
         ts = (mids[:, None] + half[:, None] * gl_nodes[None, :]).ravel()
-        phases = h_values(traj, direction, ts)
+        phases = ts + traj.positions(ts) @ direction.vec
         w = (half[:, None] * gl_weights[None, :]).ravel()
         total += np.sum(w * np.exp(-1j * k * phases))
     return complex(total)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from msimg.trajectory import (TWO_PI, Arc, Direction, Line, Trajectory,
-                              _check_dims, h_values)
+                              _check_dims)
 
 # Periods enumerated on each side of n = 0: every turning time with
 # |t| + |theta - phase| below about 1,200 is found.
@@ -56,6 +56,6 @@ def range_of(traj: Trajectory, direction: Direction, c: float):
     _check_dims(traj, direction)
     iv = traj.interval
     ts = np.array([iv.t_min, iv.t_max, *critical_times(traj, direction, c)])
-    vals = (h_values(traj, direction, ts) if c
-            else traj.positions(ts) @ direction.vec)
+    proj = traj.positions(ts) @ direction.vec
+    vals = ts + proj if c else proj
     return float(np.min(vals)), float(np.max(vals))

@@ -733,6 +733,57 @@ def test_compare_writes_non_finite_metrics_as_null(tmp_path):
         assert entry["outside_median"] == 0.0
 
 
+def test_compare_writes_null_when_no_outside_point_is_left(tmp_path,
+                                                          monkeypatch):
+    # direction 1 runs along the motion: its strip 0 <= x <= 1.9 leaves no
+    # lattice point farther than imaging.DEFAULT_MARGIN from it
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(
+        tmp_path,
+        trajectory={"variant": "line", "speed": 1.0, "angle": 0.0,
+                    "offset": [0.0, 0.0], "interval": [0.0, 1.9]},
+        directions={"angles": [0.0, PI / 2]},
+        grid={"bounds": [[-0.2, 2.1], [-1, 1]], "resolution": [47, 41]})
+    data = tmp_path / "data"
+    assert _run("synth", "--config", path, "--out", data) == 0
+    assert _run("image", "--config", path, "--data", data, "--out", data) == 0
+    out = tmp_path / "metrics.json"
+    assert _run("compare", "--config", path, "--field", data / "field_1.csv",
+                "--out", out) == 0
+    rep = json.loads(out.read_text())
+    first, second = rep["directions"]
+    assert first["outside_median"] is None and first["ratio"] is None
+    assert first["inside_median"] > 0 and first["argmax_in_mask"] is True
+    for entry in (second, rep["theta_domain"]):
+        assert entry["outside_median"] > 0 and entry["ratio"] > 0
+
+
+def test_sampled_variant_writes_the_bytes_of_piecewise(tmp_path, monkeypatch):
+    # "sampled" builds the same polyline as "piecewise", so synth,
+    # classify, image and compare write the same files
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    trees = []
+    for variant in ("piecewise", "sampled"):
+        root = tmp_path / variant
+        root.mkdir()
+        path = _base_config(
+            root,
+            trajectory={"variant": variant, "times": [0.0, 1.0, 2.0],
+                        "points": [[3.0, 3.0], [2.0, 2.0], [3.0, 1.0]]},
+            noise={"delta": 0.01, "seed": 5},
+            directions={"angles": [5 * PI / 4, 3 * PI / 2, 7 * PI / 4]},
+            grid={"bounds": [[-1, 5], [-1, 5]], "resolution": [31, 31]})
+        out = root / "out"
+        for argv in (["synth"], ["classify"], ["image", "--data", out]):
+            assert _run(*argv, "--config", path, "--out", out) == 0
+        for field in sorted(out.glob("field_*.csv")):
+            assert _run("compare", "--config", path, "--field", field,
+                        "--out", field.with_suffix(".json")) == 0
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) > 10 and trees[0] == trees[1]
+
+
 def test_compare_refuses_3d_config(tmp_path, capsys):
     path = _base_config(tmp_path, **_config3d([{"axis": 0, "offset": 0.0}]))
     cfg = cli.load_config(path)

@@ -148,10 +148,12 @@ def test_contrast_metric_errors():
         m.contrast_metric(fld, np.zeros(grid.size, dtype=bool))
     with pytest.raises(ValueError):
         m.contrast_metric(fld, np.ones(grid.size, dtype=bool))
+    # no outside point is left past the margin: NaN, not an error
     almost_full = np.ones(grid.size, dtype=bool)
     almost_full[0] = False
-    with pytest.raises(ValueError):
-        m.contrast_metric(fld, almost_full, margin=5.0)
+    met = m.contrast_metric(fld, almost_full, margin=5.0)
+    assert met["inside_median"] == fld.values[0]
+    assert math.isnan(met["outside_median"]) and math.isnan(met["ratio"])
     half = grid.points()[:, 0] <= 0.5
     for margin in (math.inf, math.nan, -0.1):
         with pytest.raises(ValueError, match="margin"):

@@ -139,12 +139,12 @@ def test_picard_sum_invariant_under_degenerate_relabeling():
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q, _ = np.linalg.qr(A)
     lam = np.array([5.0, 5.0, 5.0, 2.0, 1.0, 0.5])
-    spec1 = m.Spectrum(lam, Q, m.MODE_RIGOROUS)
+    spec1 = m.Spectrum(lam, Q)
     B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     U, _ = np.linalg.qr(B)
     Q2 = Q.copy()
     Q2[:, :3] = Q[:, :3] @ U
-    spec2 = m.Spectrum(lam, Q2, m.MODE_RIGOROUS)
+    spec2 = m.Spectrum(lam, Q2)
     for _ in range(10):
         phi = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert ref.picard_sum(spec1, phi).total == pytest.approx(
@@ -536,8 +536,7 @@ def test_single_point_indicators_follow_new_spectra():
     for _ in range(30):
         Q, _ = np.linalg.qr(rng.normal(size=(6, 6))
                             + 1j * rng.normal(size=(6, 6)))
-        spec = m.Spectrum(np.sort(rng.uniform(1e-3, 10.0, 6))[::-1], Q,
-                          m.MODE_RIGOROUS)
+        spec = m.Spectrum(np.sort(rng.uniform(1e-3, 10.0, 6))[::-1], Q)
         reused |= id(spec) in ids
         ids.add(id(spec))
         for y in rng.uniform(-3, 3, (3, 2)):

@@ -189,19 +189,18 @@ def test_eigenvector_phase_convention(vertical_line, default_band):
 
 
 def test_floored_eigenvalues(default_band):
-    spec = m.Spectrum(np.array([2.0, 1e-20, 0.0]), np.eye(3, dtype=complex),
-                      m.MODE_RIGOROUS)
+    spec = m.Spectrum(np.array([2.0, 1e-20, 0.0]), np.eye(3, dtype=complex))
     floored = spec.floored_eigenvalues()
     assert floored[0] == 2.0
     assert np.all(floored[1:] == 2.0 * 1e-14)
-    zero = m.Spectrum(np.zeros(2), np.eye(2, dtype=complex), m.MODE_RIGOROUS)
+    zero = m.Spectrum(np.zeros(2), np.eye(2, dtype=complex))
     assert np.all(zero.floored_eigenvalues() > 0)
 
 
 def test_spectrum_keeps_read_only_copies():
     lam = np.array([3.0, 1.0, 1e-20])
     vecs = np.eye(3, dtype=complex)
-    spec = m.Spectrum(lam, vecs, m.MODE_RIGOROUS)
+    spec = m.Spectrum(lam, vecs)
     for arr in (spec.eigenvalues, spec.eigenvectors):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

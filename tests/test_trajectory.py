@@ -69,7 +69,8 @@ def test_h_vertical_line_side_view(vertical_line):
     # x_hat = (1, 0) is orthogonal to the motion: h(t) = t, h'(t) = 1
     d = m.Direction.from_angle(0.0)
     ts = np.array([1.0, 1.7, 2.9])
-    assert_allclose(m.h_values(vertical_line, d, ts), ts, rtol=0, atol=1e-14)
+    h = ts + vertical_line.positions(ts) @ d.vec
+    assert_allclose(h, ts, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 8, math.pi / 2, 3 * math.pi / 4])
@@ -77,7 +78,8 @@ def test_h_derivative_axis_line_3d(axis_line_3d, theta):
     # h is affine on a line, so its difference quotient is h' = 1 + cos theta
     d = m.Direction.from_angles(theta, 0.7)
     expect = 1.0 + math.cos(theta)
-    h = m.h_values(axis_line_3d, d, [0.25, 0.75])
+    ts = np.array([0.25, 0.75])
+    h = ts + axis_line_3d.positions(ts) @ d.vec
     assert (h[1] - h[0]) / 0.5 == pytest.approx(expect, abs=1e-14)
 
 
@@ -390,7 +392,8 @@ def test_xi_range_contains_endpoint_values():
         d = m.Direction.from_angle(float(rng.uniform(0, TWO_PI)))
         rep = m.xi_extrema(traj, d)
         iv = traj.interval
-        ends = m.h_values(traj, d, np.array([iv.t_min, iv.t_max]))
+        ts = np.array([iv.t_min, iv.t_max])
+        ends = ts + traj.positions(ts) @ d.vec
         assert rep.xi_min <= min(ends) + 1e-9
         assert rep.xi_max >= max(ends) - 1e-9
 
@@ -447,9 +450,9 @@ def test_projection_hull_reversal_invariant():
         d = m.Direction.from_angle(float(rng.uniform(0, TWO_PI)))
         iv = traj.interval
         if isinstance(traj, m.Line):
-            span = traj.speed * (iv.t_min + iv.t_max)
             rev = m.Line(traj.speed, angle=traj.angle + math.pi,
-                         offset=traj.offset + span * traj.unit, interval=iv)
+                         offset=traj.positions([iv.t_min + iv.t_max])[0],
+                         interval=iv)
         elif isinstance(traj, m.Arc):
             rev = m.Arc(center=traj.center, radius=traj.radius,
                         phase=traj.phase + traj.orientation * (iv.t_min + iv.t_max),
@@ -725,7 +728,7 @@ def test_line_and_arc_hold_read_only_copies():
         for a in (ts, ps):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-    for a in (line2.offset, line3.offset, line3.axis, line3.unit, arc.center):
+    for a in (line2.offset, line3.offset, line3.axis, arc.center):
         assert not a.flags.writeable
 
 
