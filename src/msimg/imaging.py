@@ -55,12 +55,15 @@ class SearchGrid:
 
 @dataclass(eq=False)
 class ScalarField:
-    """Values over a SearchGrid in row-major order."""
+    """Values over a 2D SearchGrid in row-major order."""
 
     grid: SearchGrid
     values: np.ndarray
 
     def __post_init__(self):
+        if self.grid.dim != 2:
+            raise ValueError("a field is a 2D lattice; a 3D grid is imaged "
+                             "on slice planes")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.size,):
             raise ValueError(f"expected {self.grid.size} values, got {v.shape}")
@@ -128,29 +131,26 @@ def _within_margin(mask: np.ndarray, spacing, margin: float) -> np.ndarray:
     The same set as scipy's `distance_transform_edt(~mask, sampling=
     spacing) <= margin`, with the distance computed as it does: the square
     root of the sum, in axis order, of (offset * spacing)**2.  For one
-    offset along the leading axes the reachable last-axis offsets form a
-    range |j| <= J, so a cumulative-sum window ORs them in one step.
+    row offset o the reachable column offsets form a range |j| <= J, so a
+    cumulative-sum window ORs them in one step.
     """
-    shape, n_last = mask.shape, mask.shape[-1]
-    reach = [min(int(margin / h) + 1, n - 1) for h, n in zip(spacing, shape)]
-    counts = np.zeros(shape[:-1] + (n_last + 1,), dtype=np.int64)
-    np.cumsum(mask, axis=-1, out=counts[..., 1:])
-    idx = np.arange(n_last)
-    last = np.arange(reach[-1] + 1) * spacing[-1]
-    last_sq = last * last
-    near = np.zeros(shape, dtype=bool)
-    for off in itertools.product(*(range(-r, r + 1) for r in reach[:-1])):
-        lead_sq = 0.0
-        for o, h in zip(off, spacing):
-            lead_sq += (o * h) * (o * h)
-        J = int(np.count_nonzero(np.sqrt(lead_sq + last_sq) <= margin)) - 1
+    (n_rows, n_cols), (h_row, h_col) = mask.shape, spacing
+    reach = min(int(margin / h_row) + 1, n_rows - 1)
+    counts = np.zeros((n_rows, n_cols + 1), dtype=np.int64)
+    np.cumsum(mask, axis=1, out=counts[:, 1:])
+    idx = np.arange(n_cols)
+    col = np.arange(min(int(margin / h_col) + 1, n_cols - 1) + 1) * h_col
+    col_sq = col * col
+    near = np.zeros(mask.shape, dtype=bool)
+    for o in range(-reach, reach + 1):
+        row_sq = (o * h_row) * (o * h_row)
+        J = int(np.count_nonzero(np.sqrt(row_sq + col_sq) <= margin)) - 1
         if J < 0:
             continue
-        window = (counts[..., np.minimum(idx + J, n_last - 1) + 1]
-                  > counts[..., np.maximum(idx - J, 0)])
-        dst = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, shape))
-        src = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, shape))
-        near[dst] |= window[src]
+        window = (counts[:, np.minimum(idx + J, n_cols - 1) + 1]
+                  > counts[:, np.maximum(idx - J, 0)])
+        near[max(0, -o):n_rows - max(0, o)] |= \
+            window[max(0, o):n_rows - max(0, -o)]
     return near
 
 
@@ -188,7 +188,7 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# CSV (field x1,x2[,x3],w and far-field k,re,im) and text PGM heatmaps
+# CSV (field x1,x2,w and far-field k,re,im) and text PGM heatmaps
 # ---------------------------------------------------------------------------
 
 # Values per block of the field writer, rounded to whole lattice lines (at
@@ -197,9 +197,7 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
 FIELD_BLOCK = 2048
 
 
-def _field_header(dim: int) -> bytes:
-    """Header line of a field CSV on a `dim`-dimensional grid."""
-    return ("".join(f"x{i + 1}," for i in range(dim)) + "w\n").encode()
+_FIELD_HEADER = b"x1,x2,w\n"
 
 
 def _cell_texts(values: np.ndarray) -> list[bytes]:
@@ -259,7 +257,7 @@ def _read_rows(path, header: bytes, prefixes, out: np.ndarray) -> None:
 
 
 def write_field_csv(path, fld: ScalarField) -> None:
-    """Row-major `x1,x2[,x3],w` rows, every number as `.17g`.
+    """Row-major `x1,x2,w` rows, every number as `.17g`.
 
     Whole lattice lines of about FIELD_BLOCK values go out per write.  Each
     row is laid out in a byte matrix: the axis texts, then the cells of the
@@ -269,10 +267,8 @@ def write_field_csv(path, fld: ScalarField) -> None:
     """
     from . import _g17   # here, so that commands writing no field skip it
 
-    grid = fld.grid
-    *lead, last = [_axis_cells(a) for a in grid.axes()]
-    n_last, w_last = last.shape
-    w_lead = sum(c.shape[1] for c in lead)
+    lead, last = [_axis_cells(a) for a in fld.grid.axes()]
+    (_, w_lead), (n_last, w_last) = lead.shape, last.shape
     width = w_lead + w_last + _g17.CELLS
     lines = max(1, FIELD_BLOCK // n_last)
     raw = bytearray(lines * n_last * width)
@@ -281,13 +277,10 @@ def write_field_csv(path, fld: ScalarField) -> None:
     rows = buf.reshape(lines * n_last, width)[:, w_lead + w_last:]
     values = fld.values.reshape(-1, n_last)
     with open(path, "wb") as f:
-        f.write(_field_header(grid.dim))
+        f.write(_FIELD_HEADER)
         for start in range(0, len(values), lines):
             k = min(lines, len(values) - start)
-            idx = np.unravel_index(np.arange(start, start + k),
-                                   grid.shape[:-1])
-            buf[:k, :, :w_lead] = np.concatenate(
-                [c[i] for c, i in zip(lead, idx)], axis=1)[:, None, :]
+            buf[:k, :, :w_lead] = lead[start:start + k, None]
             _g17.cells(values[start:start + k].ravel(), rows[:k * n_last])
             block = raw if k == lines else raw[:k * n_last * width]
             f.write(block.translate(None, b"\0"))
@@ -295,11 +288,12 @@ def write_field_csv(path, fld: ScalarField) -> None:
 
 def read_field_csv(path, grid: SearchGrid) -> ScalarField:
     """A field CSV of `grid` as write_field_csv writes it: `_read_rows`
-    holds row r to the `_cell_texts` of lattice point r."""
-    values = np.empty(grid.size)
-    _read_rows(path, _field_header(grid.dim), map(b"".join, itertools.product(
-        *map(_cell_texts, grid.axes()))), values)
-    return ScalarField(grid, values)
+    holds row r to the `_cell_texts` of lattice point r.  A grid that is
+    not 2D is refused before the file is opened."""
+    fld = ScalarField(grid, np.zeros(grid.size))
+    _read_rows(path, _FIELD_HEADER, map(b"".join, itertools.product(
+        *map(_cell_texts, grid.axes()))), fld.values)
+    return fld
 
 
 # The 4-byte cell of a PGM pixel of level v, " v" NUL-padded, read as one
@@ -328,8 +322,6 @@ def write_pgm(path, fld: ScalarField) -> None:
     (the space before its first level) and the cells' padding are NUL, and
     one `translate` drops them.
     """
-    if fld.grid.dim != 2:
-        raise ValueError("PGM output is 2D only")
     check_pgm_values(path, fld.values)
     top = float(np.max(fld.values))
     scale = 255.0 / top if top > 0 else 0.0

@@ -89,16 +89,14 @@ def _grid_sums(spectrum: Spectrum, direction: Direction, points: np.ndarray,
                band: FrequencyBand) -> np.ndarray:
     """picard_sums_grid on a float `points` array whose lattice test
     result `lattice` = _lattice_rows(points) the caller has taken; one
-    row (scattered points, none) runs the same block loop at alpha = 0."""
+    row (scattered points) has every coordinate fast, so alpha = 0."""
     F = spectrum.picard_operator(interval, band)
     h = F.shape[1] // 2
     rows, fast = lattice
     cols = len(points) // rows
-    if rows == 1:
-        alpha, beta_vec = np.zeros(1), direction.vec
-    else:
-        alpha = points[::cols] @ np.where(fast, 0.0, direction.vec)
-        beta_vec = np.where(fast, direction.vec, 0.0)
+    # max: an empty array is one row of no columns
+    alpha = points[::max(cols, 1)] @ np.where(fast, 0.0, direction.vec)
+    beta_vec = np.where(fast, direction.vec, 0.0)
     # column pairs (2j, 2j + 1) as complex columns: times conj(w_j(alpha))
     # they are the pair rotated by alpha
     pairs = F.view(complex)
@@ -131,13 +129,14 @@ def _lattice_rows(points: np.ndarray):
     coordinates repeat the first row's bit for bit and its other
     coordinates are constant along the row; L is where the first row's
     other coordinates first change.  Anything else (scattered points,
-    fewer than 4, a lattice cut mid-row, no slow coordinate) is one row,
-    rows = 1.  Compares each coordinate once as a (rows, L) view, without
-    copying `points`.
+    fewer than 4, a lattice cut mid-row, no slow coordinate) is one row
+    whose coordinates are all fast.  Compares each coordinate once as a
+    (rows, L) view, without copying `points`.
     """
     n = len(points)
+    one_row = 1, np.ones(points.shape[1], dtype=bool)
     if n < 4:
-        return 1, None
+        return one_row
     fast = points[1] != points[0]
     slow = np.flatnonzero(~fast)
     # searched over doubling prefixes, so this costs O(L), not O(n)
@@ -147,12 +146,12 @@ def _lattice_rows(points: np.ndarray):
         moved = (points[:span, slow] != points[0, slow]).any(axis=1)
         cols = int(moved.argmax())
     if not cols or n % cols:
-        return 1, None
+        return one_row
     rows = n // cols
     for k in range(points.shape[1]):
         coord = points[:, k].reshape(rows, cols)
         if not (coord == (coord[:1] if fast[k] else coord[:, :1])).all():
-            return 1, None
+            return one_row
     return rows, fast
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import msimg as m
+from msimg.spectral import EIGENVALUE_FLOOR
 
 
 def _samples_from_values(values, band=None):
@@ -192,7 +193,7 @@ def test_floored_eigenvalues(default_band):
     spec = m.Spectrum(np.array([2.0, 1e-20, 0.0]), np.eye(3, dtype=complex))
     floored = spec.floored_eigenvalues()
     assert floored[0] == 2.0
-    assert np.all(floored[1:] == 2.0 * 1e-14)
+    assert np.all(floored[1:] == 2.0 * EIGENVALUE_FLOOR)
     zero = m.Spectrum(np.zeros(2), np.eye(2, dtype=complex))
     assert np.all(zero.floored_eigenvalues() > 0)
 
@@ -212,7 +213,8 @@ def test_spectrum_keeps_read_only_copies():
     vecs[:] = 0.0
     assert np.array_equal(spec.eigenvalues, [3.0, 1.0, 1e-20])
     assert np.array_equal(spec.eigenvectors, np.eye(3))
-    assert np.array_equal(spec.floored_eigenvalues(), [3.0, 1.0, 3e-14])
+    assert np.array_equal(spec.floored_eigenvalues(),
+                          [3.0, 1.0, 3.0 * EIGENVALUE_FLOOR])
 
 
 # ---------------------------------------------------------------------------
