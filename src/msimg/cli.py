@@ -206,8 +206,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
                 f"{band.n} x {band.n} complex operator")
     iv = traj.interval
-    # |h(t)| <= t_max + |a(t_min)| + max|a'| T
-    bound = iv.t_max + float(np.abs(traj.positions([iv.t_min])).sum()) \
+    # |h(t)| <= t_max + |a(t_min)| + max|a'| T, in Python floats: a huge
+    # orbit's bound is inf, with no numpy overflow warning
+    bound = iv.t_max + sum(map(abs, traj.positions([iv.t_min])[0].tolist())) \
         + traj.speed_bound() * iv.duration
     error = np.finfo(float).eps * band.k_max * bound
     if not error <= MAX_PHASE_ERROR:
@@ -470,7 +471,7 @@ def _score(fld: ScalarField, mask: np.ndarray, argmax: int) -> dict:
 
 def cmd_compare(config: ExperimentConfig, field_path, out_file) -> int:
     """Metrics of a field CSV against each direction's strip mask and the
-    Theta-domain, the AND of the nonempty strip masks."""
+    Theta-domain of trajectory.theta_domain."""
     if config.grid.dim != 2:
         raise ValidationError("compare scores 2D grids only; the slice "
                               "fields of a 3D grid are not scored")
@@ -478,24 +479,21 @@ def cmd_compare(config: ExperimentConfig, field_path, out_file) -> int:
         raise ValidationError(f"missing field file {field_path}")
     fld = imaging.read_field_csv(field_path, config.grid)
     argmax = int(np.argmax(fld.values))
-    entries, n_strips = [], 0
-    domain = np.ones(config.grid.size, dtype=bool)
+    entries = []
     for j, d in enumerate(config.directions, start=1):
         s = traj_mod.strip(config.trajectory, d)
         entry = {"index": j, "observable": not s.empty}
         if s.empty:
             entry["strip_empty"] = True
         else:
-            mask = imaging.mask_strip(config.grid, s)
-            domain &= mask
-            n_strips += 1
-            entry.update(strip_lo=s.lo, strip_hi=s.hi,
-                         **_score(fld, mask, argmax))
+            entry.update(strip_lo=s.lo, strip_hi=s.hi, **_score(
+                fld, imaging.mask_strip(config.grid, s), argmax))
         entries.append(entry)
+    domain = traj_mod.theta_domain(config.trajectory, config.directions)
     report = {"directions": entries, "theta_domain": None}
-    if n_strips:
-        report["theta_domain"] = {"n_strips": n_strips,
-                                  **_score(fld, domain, argmax)}
+    if not domain.empty:
+        report["theta_domain"] = {"n_strips": len(domain.strips), **_score(
+            fld, domain.contains_many(config.grid.points()), argmax)}
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_file:
         Path(out_file).write_text(text + "\n", encoding="utf-8")

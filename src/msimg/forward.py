@@ -111,7 +111,7 @@ def far_field_terms(traj: Trajectory, k_max: float) -> int:
     if isinstance(traj, Arc):
         kr = k_max * traj.radius
         return 2 * math.ceil(kr + 11.0 * kr ** (1.0 / 3.0) + 12.0) + 1
-    return len(traj.vertices[0]) - 1
+    return len(traj.times) - 1
 
 
 def _bessel_j(order: int, z: np.ndarray) -> np.ndarray:
@@ -136,9 +136,9 @@ def _affine_far_field(traj: Trajectory, direction: Direction,
                       ks: np.ndarray) -> np.ndarray:
     """Sum over the segments of L sinc(k dh / 2) exp(-i k m) for each k:
     L the segment's duration, dh the rise of h over it and m its value at
-    the midpoint, h read at the vertices as _range_of reads it."""
-    ts, ps = traj.vertices
-    hs = ts + ps.dot(direction.vec)
+    the midpoint, h read at the breakpoints as _range_of reads it."""
+    ts = traj.times
+    hs = ts + traj.points.dot(direction.vec)
     rise, mid = hs[1:] - hs[:-1], 0.5 * (hs[1:] + hs[:-1])
     sinc = np.sinc(np.outer(ks, rise / TWO_PI))  # np.sinc(x) = sin(pi x)/(pi x)
     return (sinc * np.exp(-1j * np.outer(ks, mid))) @ (ts[1:] - ts[:-1])

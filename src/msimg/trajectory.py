@@ -20,9 +20,8 @@ convex bounding domain of the orbit.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,66 +112,6 @@ class Trajectory:
 
 
 @dataclass(frozen=True, eq=False)
-class Line(Trajectory):
-    """Uniform straight-line motion offset + speed*t*unit.
-
-    2D lines are built from a heading angle, 3D lines from a unit axis.
-    It holds read-only copies of its axis and offset, so the endpoint
-    positions it keeps (`vertices`) stay its own.
-    """
-
-    speed: float
-    interval: TimeInterval
-    angle: float | None = None
-    axis: np.ndarray | None = None
-    offset: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError("speed must be nonnegative")
-        if (self.angle is None) == (self.axis is None):
-            raise ValueError("give exactly one of angle (2D) or axis (3D)")
-        if self.angle is not None:
-            unit = np.array([math.cos(self.angle), math.sin(self.angle)])
-        else:
-            unit = np.array(self.axis, dtype=float)
-            if unit.shape != (3,):
-                raise ValueError("axis must be a 3-vector")
-            n = np.linalg.norm(unit)
-            if abs(n - 1.0) > 1e-12:
-                raise ValueError("axis must be a unit vector")
-        off = (np.zeros(unit.shape[0]) if self.offset is None
-               else np.array(self.offset, dtype=float))
-        if off.shape != unit.shape:
-            raise ValueError("offset dimension does not match direction")
-        unit.flags.writeable = off.flags.writeable = False
-        object.__setattr__(self, "axis", unit if self.angle is None else None)
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "_unit", unit)
-
-    @property
-    def dim(self) -> int:
-        return self._unit.shape[0]
-
-    def positions(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return self.offset[None, :] + self.speed * ts[:, None] * self._unit[None, :]
-
-    @functools.cached_property
-    def vertices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times [t_min, t_max] and the positions there, shape (2, dim),
-        between which the line is affine; computed once, read-only."""
-        iv = self.interval
-        ts = np.array([iv.t_min, iv.t_max])
-        ps = self.positions(ts)
-        ts.flags.writeable = ps.flags.writeable = False
-        return ts, ps
-
-    def speed_bound(self):
-        return self.speed
-
-
-@dataclass(frozen=True, eq=False)
 class Arc(Trajectory):
     """Circular motion center + radius*(cos(s*t + phase), sin(s*t + phase)).
 
@@ -237,14 +176,15 @@ class PiecewiseLinear(Trajectory):
             raise ValueError("breakpoint times must be strictly increasing")
         if ps.shape[0] != len(ts) or ps.ndim != 2 or ps.shape[1] not in (2, 3):
             raise ValueError("points must be (n, 2) or (n, 3) matching times")
-        vel = np.diff(ps, axis=0) / steps[:, None]
+        with np.errstate(over="ignore"):  # a huge orbit's bound is inf
+            vel = np.diff(ps, axis=0) / steps[:, None]
+            bound = float(np.max(np.linalg.norm(vel, axis=1)))
         ts.flags.writeable = ps.flags.writeable = vel.flags.writeable = False
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "points", ps)
         object.__setattr__(self, "interval", TimeInterval(ts[0], ts[-1]))
         object.__setattr__(self, "_velocities", vel)
-        object.__setattr__(self, "_speed_bound", float(np.max(
-            np.linalg.norm(vel, axis=1))))
+        object.__setattr__(self, "_speed_bound", bound)
 
     @property
     def dim(self) -> int:
@@ -262,13 +202,55 @@ class PiecewiseLinear(Trajectory):
         computed once; the array is read-only."""
         return self._velocities
 
-    @property
-    def vertices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times and points between which the orbit is affine."""
-        return self.times, self.points
-
     def speed_bound(self):
         return self._speed_bound
+
+
+@dataclass(frozen=True, eq=False)
+class Line(PiecewiseLinear):
+    """Uniform straight-line motion offset + speed*t*unit, the polyline of
+    its positions at t_min and t_max: from a heading angle in 2D, from a
+    unit axis in 3D.  It holds read-only copies of its axis and offset."""
+
+    times: np.ndarray = field(init=False)
+    points: np.ndarray = field(init=False)
+    speed: float
+    interval: TimeInterval
+    angle: float | None = None
+    axis: np.ndarray | None = None
+    offset: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.speed < 0:
+            raise ValueError("speed must be nonnegative")
+        if (self.angle is None) == (self.axis is None):
+            raise ValueError("give exactly one of angle (2D) or axis (3D)")
+        if self.angle is not None:
+            unit = np.array([math.cos(self.angle), math.sin(self.angle)])
+        else:
+            unit = np.array(self.axis, dtype=float)
+            if unit.shape != (3,):
+                raise ValueError("axis must be a 3-vector")
+            if abs(np.linalg.norm(unit) - 1.0) > 1e-12:
+                raise ValueError("axis must be a unit vector")
+        off = (np.zeros(unit.shape[0]) if self.offset is None
+               else np.array(self.offset, dtype=float))
+        if off.shape != unit.shape:
+            raise ValueError("offset dimension does not match direction")
+        unit.flags.writeable = off.flags.writeable = False
+        object.__setattr__(self, "axis", unit if self.angle is None else None)
+        object.__setattr__(self, "offset", off)
+        iv = self.interval
+        ts = np.array([iv.t_min, iv.t_max])
+        with np.errstate(over="ignore", invalid="ignore"):  # huge: inf, nan
+            ps = off + self.speed * ts[:, None] * unit
+            object.__setattr__(self, "times", ts)
+            object.__setattr__(self, "points", ps)
+            super().__post_init__()
+        object.__setattr__(self, "interval", iv)  # as given, not rebuilt
+
+    def speed_bound(self):
+        return self.speed
 
 
 class Sampled(PiecewiseLinear):
@@ -331,19 +313,17 @@ def _arc_critical_times(traj: Arc, direction: Direction, c: float):
 def division_points(traj: Trajectory, direction: Direction) -> list[float]:
     """Interior times where h' changes sign or a zero plateau starts/ends.
 
-    Exact for every orbit variant.  h' is constant on a Line, so there are
-    none.  On a polyline h' = 1 + x_hat . v is constant on each segment of
-    velocity v (PiecewiseLinear.velocities), and a vertex is a division
-    point when the signs of h' on its two sides differ, a zero plateau
-    (|h'| <= PLATEAU_TOL) next to a nonzero slope included.  On an Arc,
+    Exact for every orbit variant.  On a polyline h' = 1 + x_hat . v is
+    constant on each segment of velocity v (PiecewiseLinear.velocities),
+    and a breakpoint is a division point when the signs of h' on its two
+    sides differ, a zero plateau (|h'| <= PLATEAU_TOL) next to a nonzero
+    slope included; a Line is one segment and has none.  On an Arc,
     h' = 1 - s*r*sin(u) has its interior roots at sin(u) = s/r; they are
     sign changes once h' dips below -PLATEAU_TOL, i.e. for
     r > 1 + PLATEAU_TOL, while at r = 1 h' only touches zero tangentially
     and nothing is reported.
     """
     _check_dims(traj, direction)
-    if isinstance(traj, Line):
-        return []
     if isinstance(traj, Arc):
         if _sign3(1.0 - traj.radius) >= 0:
             return []
@@ -358,13 +338,13 @@ def _range_of(traj: Trajectory, direction: Direction, c: float):
     """Exact range of c*t + x_hat . a(t) over the interval, c in {0, 1}:
     of h for c = 1, of the projection x_hat . a for c = 0.
 
-    The function is read only where it can turn.  A Line or PiecewiseLinear
-    orbit is affine between its vertices (`vertices`: a Line's two
-    endpoints, built once), so its range is that of the vertex values
-    `points @ x_hat` (plus `times` for h), one matrix-vector product.  An
-    Arc is read at its endpoints and the closed-form turning times of
-    _arc_critical_times, all in one positions(ts) @ x_hat: BLAS may round
-    a row differently in a product with another row count.  The values
+    The function is read only where it can turn.  A polyline (a Line is
+    one segment) is affine between its breakpoints, so its range is that
+    of the values `points @ x_hat` there (plus `times` for h), one
+    matrix-vector product.  An Arc is read at its endpoints and the
+    closed-form turning times of _arc_critical_times, all in one
+    positions(ts) @ x_hat: BLAS may round a row differently in a product
+    with another row count.  The values
     are reduced by Python min and max, cheaper than numpy's reductions on
     so few values.
     """
@@ -376,8 +356,7 @@ def _range_of(traj: Trajectory, direction: Direction, c: float):
                        *_arc_critical_times(traj, direction, c)])
         proj = traj.positions(ts).dot(direction.vec)
     else:
-        ts, ps = traj.vertices
-        proj = ps.dot(direction.vec)
+        ts, proj = traj.times, traj.points.dot(direction.vec)
     vals = (ts + proj if c else proj).tolist()
     return min(vals), max(vals)
 
@@ -400,8 +379,8 @@ def xi_extrema(traj: Trajectory, direction: Direction) -> ObservabilityReport:
     """Minimum and maximum of h(t) = t + x_hat . a(t) over the interval.
 
     Exact for every orbit variant: h is evaluated at the endpoints and at
-    the interior times where it can turn, i.e. nowhere for a Line (affine
-    h), at the vertices of a polyline (piecewise affine h), and at the
+    the interior times where it can turn, i.e. at the breakpoints of a
+    polyline (piecewise affine h; a Line has none), and at the
     closed-form roots of h' for an Arc.
     """
     lo, hi = _range_of(traj, direction, 1.0)
@@ -470,10 +449,7 @@ class ThetaDomain:
         return len(self.strips) == 0
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if self.empty:
-            return np.zeros(len(points), dtype=bool)
-        out = np.ones(len(points), dtype=bool)
+        out = np.full(len(points), not self.empty)
         for s in self.strips:
             out &= s.contains_many(points)
         return out
@@ -534,7 +510,7 @@ def observable_set_arc(interval: TimeInterval) -> list[tuple[float, float]]:
     """
     if interval.duration >= TWO_PI:
         raise ValueError("closed form requires duration < 2 pi")
-    mid = 0.5 * (interval.t_min + interval.t_max)
+    mid = interval.midpoint
     return _canonical_intervals([(mid, mid + math.pi)])
 
 

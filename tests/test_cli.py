@@ -146,6 +146,18 @@ def _config3d(slices, axis=None):
     ({"band": {"k_max": 1e9, "count": 18}}, "band.k_max"),
     ({"trajectory": {"variant": "line", "speed": 1e300, "angle": PI / 2,
                      "interval": [1.0, 3.0]}}, "band.k_max"),
+    # a bound past the floats is inf, refused without a numpy warning
+    ({"trajectory": {"variant": "piecewise", "times": [0.0, 1.0],
+                     "points": [[0.0, 0.0], [1e300, 1e300]]}}, "band.k_max"),
+    ({"trajectory": {"variant": "piecewise", "times": [0.0, 1.0],
+                     "points": [[-1e308, 0.0], [1e308, 0.0]]}}, "band.k_max"),
+    ({"trajectory": {"variant": "arc", "center": [1e308, 1e308],
+                     "interval": [0.0, 1.0]}}, "band.k_max"),
+    ({"trajectory": {"variant": "line", "speed": 1.0, "angle": PI / 2,
+                     "offset": [1e308, 1e308], "interval": [1.0, 3.0]}},
+     "band.k_max"),
+    ({"trajectory": {"variant": "line", "speed": 1e308, "angle": PI / 4,
+                     "interval": [2.0, 3.0]}}, "band.k_max"),
 ], ids=["fractional_count", "fractional_resolution", "negative_threshold",
         "nan_threshold", "missing_count", "missing_k_max", "infinite_k_max",
         "missing_bounds", "scalar_resolution", "band_not_object",
@@ -158,7 +170,8 @@ def _config3d(slices, axis=None):
         "points_object", "count_beyond_float", "nan_noise_delta",
         "infinite_noise_delta", "negative_noise_delta", "negative_noise_seed",
         "output_dir_number", "empty_output_dir", "unknown_mode", "huge_direction_count",
-        "huge_k_max", "huge_speed"])
+        "huge_k_max", "huge_speed", "huge_segment_speed", "huge_segment",
+        "huge_arc_center", "huge_line_offset", "huge_line_start"])
 def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
                                              field):
     if isinstance(overrides, dict):
@@ -782,6 +795,44 @@ def test_sampled_variant_writes_the_bytes_of_piecewise(tmp_path, monkeypatch):
         trees.append({p.relative_to(out): p.read_bytes()
                       for p in out.rglob("*") if p.is_file()})
     assert len(trees[0]) > 10 and trees[0] == trees[1]
+
+
+def test_line_writes_the_bytes_of_its_two_point_polyline(tmp_path,
+                                                          monkeypatch):
+    # a line is the polyline of its positions offset + speed t unit at t_min
+    # and t_max, so synth, image and compare write the same files, and
+    # classify the same rows but for the lemma verdict only a line gets
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    speed, angle, offset = 1.5, 0.7, [0.25, -0.5]
+    line = {"variant": "line", "speed": speed, "angle": angle,
+            "offset": offset, "interval": [1.0, 3.0]}
+    ends = [[offset[0] + speed * t * math.cos(angle),
+             offset[1] + speed * t * math.sin(angle)] for t in (1.0, 3.0)]
+    polyline = {"variant": "piecewise", "times": [1.0, 3.0], "points": ends}
+    trees = []
+    for name, trajectory in (("line", line), ("polyline", polyline)):
+        root = tmp_path / name
+        root.mkdir()
+        path = _base_config(
+            root, trajectory=trajectory, noise={"delta": 0.01, "seed": 5},
+            directions={"angles": [angle, angle + PI / 3, angle + 2.0,
+                                   angle + PI]},
+            grid={"bounds": [[0, 5], [-1, 4]], "resolution": [31, 31]})
+        out = root / "out"
+        for argv in (["synth"], ["classify"], ["image", "--data", out]):
+            assert _run(*argv, "--config", path, "--out", out) == 0
+        for field in sorted(out.glob("field_*.csv")):
+            assert _run("compare", "--config", path, "--field", field,
+                        "--out", field.with_suffix(".json")) == 0
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    rows = [[r.rsplit(",", 1) for r in t.pop(Path("classify.csv")).decode()
+             .splitlines()] for t in trees]
+    assert len(trees[0]) > 10 and trees[0] == trees[1]
+    assert [r[0] for r in rows[0]] == [r[0] for r in rows[1]]
+    assert [r[1] for r in rows[0][1:]] == ["observable", "observable",
+                                           "non-observable", "non-observable"]
+    assert [r[1] for r in rows[1][1:]] == [""] * 4
 
 
 def test_compare_refuses_3d_config(tmp_path, capsys):

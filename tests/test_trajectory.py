@@ -22,6 +22,24 @@ def test_position_line(vertical_line):
     assert_allclose(vertical_line.positions([2.0]), [[0.0, 2.0]], atol=1e-15)
 
 
+def test_line_is_the_polyline_of_its_endpoints():
+    # a Line is the two-breakpoint PiecewiseLinear through offset + speed t
+    # unit at t_min and t_max; h' is one constant, so it has no division
+    # point, its speed bound is its speed, and its positions clamp outside
+    # the interval like every polyline's
+    iv = m.TimeInterval(1.0, 3.0)
+    line = m.Line(4.0, angle=math.pi / 4, offset=(0.5, -1.0), interval=iv)
+    unit = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
+    assert isinstance(line, m.PiecewiseLinear) and line.interval is iv
+    assert line.times.tolist() == [1.0, 3.0]
+    assert line.points.tolist() == [(np.array([0.5, -1.0]) + 4.0 * t * unit)
+                                    .tolist() for t in (1.0, 3.0)]
+    assert line.speed_bound() == 4.0 and not hasattr(line, "vertices")
+    backward = m.Direction.from_angle(5 * math.pi / 4)  # h' = 1 - 4
+    assert m.division_points(line, backward) == []
+    assert line.positions([0.0, 5.0]).tolist() == line.points.tolist()
+
+
 def test_position_arc():
     arc = m.Arc(center=(1, 2), interval=m.TimeInterval(math.pi, TWO_PI))
     assert_allclose(arc.positions([math.pi]), [[0.0, 2.0]], atol=1e-15)
@@ -36,7 +54,7 @@ def test_velocity_piecewise_sides(broken_line):
     # one velocity per segment: the left and right sides of the breakpoint
     assert_allclose(broken_line.velocities(), [[-1.0, -1.0], [1.0, -1.0]],
                     atol=1e-15)
-    assert broken_line.vertices[0].tolist() == [0.0, 1.0, 2.0]
+    assert broken_line.times.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_speed_bound(vertical_line, fast_diagonal, wide_clockwise_arc,
@@ -450,9 +468,10 @@ def test_projection_hull_reversal_invariant():
         d = m.Direction.from_angle(float(rng.uniform(0, TWO_PI)))
         iv = traj.interval
         if isinstance(traj, m.Line):
+            span = traj.speed * (iv.t_min + iv.t_max)
+            unit = np.array([math.cos(traj.angle), math.sin(traj.angle)])
             rev = m.Line(traj.speed, angle=traj.angle + math.pi,
-                         offset=traj.positions([iv.t_min + iv.t_max])[0],
-                         interval=iv)
+                         offset=traj.offset + span * unit, interval=iv)
         elif isinstance(traj, m.Arc):
             rev = m.Arc(center=traj.center, radius=traj.radius,
                         phase=traj.phase + traj.orientation * (iv.t_min + iv.t_max),
@@ -700,7 +719,7 @@ def test_arc_critical_times_match_brute_force(case, c):
 
 
 def test_line_and_arc_hold_read_only_copies():
-    # a Line keeps its endpoint times and positions (vertices) once,
+    # a Line keeps its endpoint times and positions (times, points) once,
     # read-only; editing a Line's offset or axis, or an Arc's center, as
     # the caller holds it after a range query must leave them and the
     # positions as they were
@@ -715,15 +734,15 @@ def test_line_and_arc_hold_read_only_copies():
 
     def state():
         return [(m.projection_hull(t, d), t.positions([1.0, 2.0, 3.0]).tolist(),
-                 t.vertices[1].tolist() if t is not arc else None)
+                 t.points.tolist() if t is not arc else None)
                 for t, d in cases]
 
     before = state()
     off2[:], off3[:], axis[:], center[:] = 9.0, 9.0, (1.0, 0.0, 0.0), 9.0
     assert state() == before
     for t in (line2, line3):
-        ts, ps = t.vertices
-        assert t.vertices is t.vertices and ts.tolist() == [1.0, 3.0]
+        ts, ps = t.times, t.points
+        assert ts.tolist() == [1.0, 3.0]
         assert ps.tolist() == t.positions([1.0, 3.0]).tolist()
         for a in (ts, ps):
             with pytest.raises(ValueError):
@@ -744,5 +763,5 @@ def test_polyline_holds_read_only_copies():
     times[2], points[2] = 5.0, (10.0, 0.0)
     assert traj.times[2] == 2.0 and traj.points[2].tolist() == [3.0, 1.0]
     assert m.projection_hull(traj, m.Direction.from_angle(0.0)) == (2.0, 3.0)
-    for a in (traj.times, traj.points, v, *traj.vertices):
+    for a in (traj.times, traj.points, v):
         assert not a.flags.writeable
