@@ -207,9 +207,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"{band.n} x {band.n} complex operator")
     iv = traj.interval
     # |h(t)| <= t_max + |a(t_min)| + max|a'| T, in Python floats: a huge
-    # orbit's bound is inf, with no numpy overflow warning
+    # orbit's bound is inf or NaN (inf * 0), with no numpy overflow warning
     bound = iv.t_max + sum(map(abs, traj.positions([iv.t_min])[0].tolist())) \
         + traj.speed_bound() * iv.duration
+    if not math.isfinite(bound):
+        raise ValidationError("band.k_max: the orbit's positions overflow, "
+                              "so its far-field phases k h(t) have no bound")
     error = np.finfo(float).eps * band.k_max * bound
     if not error <= MAX_PHASE_ERROR:
         raise ValidationError(
@@ -425,13 +428,14 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
             planes.append((g2, pts3, f"_slice{i}"))
     _warn_aliasing(directions, planes, band)
 
-    # each direction's sums over all planes, one array per direction
+    # each direction's sums over all planes, drawn from one lattice_sums
+    # per plane in lockstep
+    draws = [indicator.lattice_sums(spectra, directions, pts, interval, band)
+             for _, pts, _ in planes]
     sums = []
-    for j, (spec_j, d) in enumerate(zip(spectra, directions), start=1):
+    for j, d in enumerate(directions, start=1):
         _progress(j, total, f"imaging {_direction_label(d)}")
-        sums.append(np.concatenate([
-            indicator.picard_sums_grid(spec_j, d, pts, interval, band)
-            for _, pts, _ in planes]))
+        sums.append(np.concatenate([next(draw) for draw in draws]))
     # one filter decision and one combined field over all planes together;
     # after it the sums are inverted in place
     multi, kept = indicator.combine_directions(sums, config.threshold)

@@ -29,7 +29,7 @@ decreasing norm and columns pivoted, the pivot order folded back into
 F's columns.  Every indicator evaluates ||F u||^2, N^2 multiply-adds per
 point where R takes 2 N^2 and the complex G 4 N^2.  On a lattice the
 grid kernel rotates F once per row instead of building each point's u
-(picard_sums_grid), so no lattice point takes a cosine, sine or complex
+(lattice_sums), so no lattice point takes a cosine, sine or complex
 product of its own.  At a single point the u of every direction come
 from one exponential of the directions' projections times the band's
 phase rates.  The series is a trigonometric polynomial in
@@ -64,61 +64,62 @@ POINT_CHUNK = 2048
 def picard_sums_grid(spectrum: Spectrum, direction: Direction,
                      points: np.ndarray, interval: TimeInterval,
                      band: FrequencyBand) -> np.ndarray:
-    """Vectorized Picard sums over many probe points, shape (P,).
+    """Picard sums over many probe points, shape (P,): lattice_sums' one
+    draw, periodic in x_hat . y with period 2 pi / dk."""
+    return next(lattice_sums([spectrum], [direction], points, interval,
+                             band))
 
-    Evaluates ||F u||^2 with the spectrum's Picard operator F
+
+def lattice_sums(spectra, directions, points: np.ndarray,
+                 interval: TimeInterval, band: FrequencyBand):
+    """Yields each direction's Picard sums over `points`, shape (P,).
+
+    Evaluates ||F u||^2 with each spectrum's Picard operator F
     (Spectrum.picard_operator) and u = (Re w_j, Im w_j)_{j=1..h},
-    w_j = e^{-i (j - 1/2) dk x_hat . y}.  Each call runs the lattice test
-    _lattice_rows on `points`, which are read as the rows of a row-major
-    lattice when they are one, and as one row otherwise.  On the lattice
+    w_j = e^{-i (j - 1/2) dk x_hat . y}.  The lattice test _lattice_rows
+    runs once, at the first draw: `points` are the rows of a row-major
+    lattice when they are one, and one row otherwise.  On the lattice
     x_hat . y = alpha_r + beta_c over rows r and columns c, so
     w_j = w_j(alpha_r) w_j(beta_c), and multiplying by w_j(alpha_r)
     rotates F's column pairs j: each row gets its own rotated F_r, and one
     phase matrix U = u(beta) serves every row.  A block of rows is one
     product of the stacked F_r with U followed by column sums of squares.
-    A single row has alpha = 0: phases of 1 keep F's bits, up to the sign
-    of zeros.  The result is periodic in x_hat . y with period 2 pi / dk.
+    One row has every coordinate fast, so alpha = 0: phases of 1 keep F's
+    bits, up to the sign of zeros.  Once the next draw begins the
+    generator holds no reference to the array it yielded.
     """
     points = np.asarray(points, dtype=float)
-    return _grid_sums(spectrum, direction, points, _lattice_rows(points),
-                      interval, band)
-
-
-def _grid_sums(spectrum: Spectrum, direction: Direction, points: np.ndarray,
-               lattice, interval: TimeInterval,
-               band: FrequencyBand) -> np.ndarray:
-    """picard_sums_grid on a float `points` array whose lattice test
-    result `lattice` = _lattice_rows(points) the caller has taken; one
-    row (scattered points) has every coordinate fast, so alpha = 0."""
-    F = spectrum.picard_operator(interval, band)
-    h = F.shape[1] // 2
-    rows, fast = lattice
+    rows, fast = _lattice_rows(points)
     cols = len(points) // rows
-    # max: an empty array is one row of no columns
-    alpha = points[::max(cols, 1)] @ np.where(fast, 0.0, direction.vec)
-    beta_vec = np.where(fast, direction.vec, 0.0)
-    # column pairs (2j, 2j + 1) as complex columns: times conj(w_j(alpha))
-    # they are the pair rotated by alpha
-    pairs = F.view(complex)
-    # whole rows per block; their operators, (2h, 2h) each, stay within
-    # POINT_CHUNK rows of 2h as well
-    per_block = max(1, POINT_CHUNK // max(cols, 2 * h))
-    sums = np.empty(len(points))
-    grid = sums.reshape(rows, cols)
-    for a0 in range(0, rows, POINT_CHUNK):
-        A = _phases(alpha[a0:a0 + POINT_CHUNK], band.dk, h)
-        spin = np.ascontiguousarray(A.T).view(complex).conj()[:, None]
-        for c0 in range(0, cols, POINT_CHUNK):
-            U = _phases(points[c0:min(c0 + POINT_CHUNK, cols)] @ beta_vec,
-                        band.dk, h)
-            m = U.shape[1]
-            for r0 in range(0, min(rows - a0, POINT_CHUNK), per_block):
-                block = (pairs * spin[r0:r0 + per_block]).view(float)
-                c = (block.reshape(-1, 2 * h) @ U).reshape(
-                    len(block), 2 * h, m)
-                np.einsum("rkc,rkc->rc", c, c,
-                          out=grid[a0 + r0:a0 + r0 + len(block), c0:c0 + m])
-    return sums
+    for spectrum, direction in zip(spectra, directions):
+        F = spectrum.picard_operator(interval, band)
+        h = F.shape[1] // 2
+        # max: an empty array is one row of no columns
+        alpha = points[::max(cols, 1)] @ np.where(fast, 0.0, direction.vec)
+        beta_vec = np.where(fast, direction.vec, 0.0)
+        # column pairs (2j, 2j + 1) as complex columns: times
+        # conj(w_j(alpha)) they are the pair rotated by alpha
+        pairs = F.view(complex)
+        # whole rows per block; their operators, (2h, 2h) each, stay
+        # within POINT_CHUNK rows of 2h as well
+        per_block = max(1, POINT_CHUNK // max(cols, 2 * h))
+        sums = np.empty(len(points))
+        grid = sums.reshape(rows, cols)
+        for a0 in range(0, rows, POINT_CHUNK):
+            A = _phases(alpha[a0:a0 + POINT_CHUNK], band.dk, h)
+            spin = np.ascontiguousarray(A.T).view(complex).conj()[:, None]
+            for c0 in range(0, cols, POINT_CHUNK):
+                U = _phases(points[c0:min(c0 + POINT_CHUNK, cols)] @ beta_vec,
+                            band.dk, h)
+                m = U.shape[1]
+                for r0 in range(0, min(rows - a0, POINT_CHUNK), per_block):
+                    block = (pairs * spin[r0:r0 + per_block]).view(float)
+                    c = (block.reshape(-1, 2 * h) @ U).reshape(
+                        len(block), 2 * h, m)
+                    np.einsum("rkc,rkc->rc", c, c, out=grid[
+                        a0 + r0:a0 + r0 + len(block), c0:c0 + m])
+        yield sums
+        del sums, grid
 
 
 def _lattice_rows(points: np.ndarray):
@@ -184,9 +185,8 @@ def direction_filter(grid_sums, threshold: float = DEFAULT_THRESHOLD) -> list[in
     the shared search grid; direction j is dropped iff min(grid_sums[j])
     exceeds the threshold.
     """
-    kept = [j for j, sums in enumerate(grid_sums)
+    return [j for j, sums in enumerate(grid_sums)
             if float(np.min(sums)) <= threshold]
-    return kept
 
 
 def indicator_multi(spectra, directions, y, interval: TimeInterval,
@@ -269,14 +269,9 @@ def filtered_field_values(spectra, directions, points: np.ndarray,
     """Grid values of the truncated multi-direction indicator.
 
     Returns (values, kept_indices); `values` is None when every direction
-    is dropped by the filter.  The lattice test _lattice_rows runs once
-    per call, and its result serves every direction's grid sums, the bits
-    of picard_sums_grid.  combine_directions draws those sums one
-    direction at a time, so at most one direction's sums are held beside
-    the running total.
+    is dropped by the filter.  combine_directions draws the directions'
+    sums from one lattice_sums, so the lattice is tested once per call and
+    at most one direction's sums are held beside the running total.
     """
-    points = np.asarray(points, dtype=float)
-    lattice = _lattice_rows(points)
     return combine_directions(
-        (_grid_sums(spec, d, points, lattice, interval, band)
-         for spec, d in zip(spectra, directions)), threshold)
+        lattice_sums(spectra, directions, points, interval, band), threshold)

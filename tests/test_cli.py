@@ -183,6 +183,19 @@ def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
     assert field in capsys.readouterr().err
 
 
+def test_config_names_an_orbit_that_overflows(tmp_path, capsys):
+    # speed t_min overflows to inf, and inf * 0 along the axis's zero
+    # component makes the position at t_min NaN: the refusal names the
+    # overflow, not a NaN bound
+    path = _base_config(tmp_path, **dict(
+        _config3d([{"axis": 0, "offset": 0.0}]),
+        trajectory={"variant": "line", "speed": 1e308,
+                    "axis": [0.0, 0.6, 0.8], "interval": [2.0, 3.0]}))
+    assert _run("classify", "--config", path) == 2
+    err = capsys.readouterr().err
+    assert "positions overflow" in err and "nan" not in err
+
+
 def test_config_rejects_band_with_vanishing_weights(tmp_path, capsys):
     # N = 1, k_max = pi, T = 2: dk T = 2 pi, so sinc(tau_1 T / 2) = 0
     path = _base_config(tmp_path, band={"k_max": PI, "count": 1})
@@ -423,19 +436,20 @@ def test_image_writes_nothing_on_a_numerical_error(tmp_path, capsys,
     path = _base_config(tmp_path, directions={"angles": [PI / 2, 0.0]})
     data = tmp_path / "data"
     assert _run("synth", "--config", path, "--out", data) == 0
-    kernel, seen = m.indicator.picard_sums_grid, []
+    operator, seen = m.Spectrum.picard_operator, []
 
-    def fail_on_second(spectrum, direction, *args):
-        seen.append(direction)
-        if direction is not seen[0]:
+    def fail_on_second(spectrum, *args):
+        seen.append(spectrum)
+        if spectrum is not seen[0]:
             raise np.linalg.LinAlgError("forced failure")
-        return kernel(spectrum, direction, *args)
+        return operator(spectrum, *args)
 
-    monkeypatch.setattr(m.indicator, "picard_sums_grid", fail_on_second)
+    monkeypatch.setattr(m.Spectrum, "picard_operator", fail_on_second)
     out = tmp_path / "img"
     assert _run("image", "--config", path, "--data", data, "--out", out) == 3
     assert "forced failure" in capsys.readouterr().err
     assert not out.exists()
+    assert len(seen) == 2 and seen[1] is not seen[0]
 
 
 def test_image_writes_nothing_on_a_pgm_refusal(tmp_path, capsys,
@@ -446,20 +460,20 @@ def test_image_writes_nothing_on_a_pgm_refusal(tmp_path, capsys,
     path = _base_config(tmp_path, directions={"angles": [PI / 2, 0.0]})
     data = tmp_path / "data"
     assert _run("synth", "--config", path, "--out", data) == 0
-    kernel, seen = m.indicator.picard_sums_grid, []
+    operator, seen = m.Spectrum.picard_operator, []
 
-    def zero_on_second(spectrum, direction, *args):
-        seen.append(direction)
-        sums = kernel(spectrum, direction, *args)
-        if direction is not seen[0]:
-            sums[0] = 0.0
-        return sums
+    def zero_on_second(spectrum, *args):
+        # a zero operator: every Picard sum of the second direction is 0
+        seen.append(spectrum)
+        F = operator(spectrum, *args)
+        return F if spectrum is seen[0] else np.zeros_like(F)
 
-    monkeypatch.setattr(m.indicator, "picard_sums_grid", zero_on_second)
+    monkeypatch.setattr(m.Spectrum, "picard_operator", zero_on_second)
     out = tmp_path / "img"
     assert _run("image", "--config", path, "--data", data, "--out", out) == 2
     assert "field_2: field has non-finite values" in capsys.readouterr().err
     assert not out.exists()
+    assert len(seen) == 2 and seen[1] is not seen[0]
 
 
 def test_image_threads_match_serial(tmp_path, capsys, monkeypatch):
@@ -522,6 +536,30 @@ def test_image_warns_when_a_slice_plane_exceeds_period(tmp_path, capsys,
         f"2*pi/dk = 3; the strip may alias"
         for j, theta, phi, extent in [(1, 0.4, 0.8, 4.80165),
                                       (2, 0.3, -2, 4.89621)]]
+
+
+@pytest.mark.parametrize("overrides, planes", [
+    ({"directions": {"angles": [PI / 2, 0.0, 2.0]}}, 1),
+    (dict(_config3d([{"axis": 0, "offset": 0.0}, {"axis": 2, "offset": 1.0}]),
+          directions={"angles": [[0.4, 0.8], [0.3, -2.0]]}), 2),
+], ids=["2d", "3d"])
+def test_image_tests_each_lattice_once(tmp_path, monkeypatch, overrides,
+                                       planes):
+    # every direction's sums on a plane come from one lattice test
+    monkeypatch.delenv("MSIMG_SEED", raising=False)
+    path = _base_config(tmp_path, **overrides)
+    data = tmp_path / "data"
+    assert _run("synth", "--config", path, "--out", data) == 0
+    lattice_rows, calls = m.indicator._lattice_rows, []
+
+    def counting(points):
+        calls.append(len(points))
+        return lattice_rows(points)
+
+    monkeypatch.setattr(m.indicator, "_lattice_rows", counting)
+    assert _run("image", "--config", path, "--data", data,
+                "--out", tmp_path / "img") == 0
+    assert len(calls) == planes
 
 
 def test_image_3d_slices(tmp_path, capsys, monkeypatch):
