@@ -175,16 +175,32 @@ def contrast_metric(fld: ScalarField, mask: np.ndarray,
         raise ValueError("mask must be nonempty and non-full")
     outside = ~_within_margin(mask.reshape(fld.grid.shape),
                               fld.grid.spacing(), margin).ravel()
-    inside_median = float(np.median(fld.values[mask]))
+    inside_median = _median(fld.values[mask])
     if not outside.any():
         outside_median = ratio = math.nan
     else:
-        outside_median = float(np.median(fld.values[outside]))
+        outside_median = _median(fld.values[outside])
         ratio = (inside_median / outside_median if outside_median > 0
                  else math.inf)
     return {"inside_median": inside_median,
             "outside_median": outside_median,
             "ratio": ratio}
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a nonempty float array that holds no NaN, bit for bit.
+
+    The same partition as np.median's, then its arithmetic: the middle
+    value, or (a + b) / 2 of the middle two, each summed from +0.0 as
+    numpy's mean sums (so -0.0 reads 0.0).  np.median's NaN check imports
+    numpy.ma, about 10 ms of every compare process; a field holds no NaN
+    (ScalarField refuses it).
+    """
+    mid = len(a) // 2
+    if len(a) % 2:
+        return 0.0 + float(np.partition(a, [mid, -1])[mid])
+    part = np.partition(a, [mid - 1, mid, -1])
+    return (0.0 + float(part[mid - 1]) + float(part[mid])) / 2
 
 
 # ---------------------------------------------------------------------------

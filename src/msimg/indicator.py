@@ -42,8 +42,6 @@ form is tested against lives with the tests (tests/picard_reference.py).
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .forward import FrequencyBand
@@ -86,8 +84,10 @@ def lattice_sums(spectra, directions, points: np.ndarray,
     product of the stacked F_r with U followed by column sums of squares.
     One row has every coordinate fast, so alpha = 0: phases of 1 keep F's
     bits, up to the sign of zeros.  Once the next draw begins the
-    generator holds no reference to the array it yielded.
+    generator holds no reference to the array it yielded.  Unequal
+    numbers of spectra and directions raise ValueError at the first draw.
     """
+    _check_pairs(spectra, directions)
     points = np.asarray(points, dtype=float)
     rows, fast = _lattice_rows(points)
     cols = len(points) // rows
@@ -120,6 +120,14 @@ def lattice_sums(spectra, directions, points: np.ndarray,
                         a0 + r0:a0 + r0 + len(block), c0:c0 + m])
         yield sums
         del sums, grid
+
+
+def _check_pairs(spectra, directions) -> None:
+    """Refuse spectra and directions that do not pair one to one, which
+    zip would silently truncate."""
+    if len(spectra) != len(directions):
+        raise ValueError(f"{len(spectra)} spectra for {len(directions)} "
+                         "directions: each direction needs one spectrum")
 
 
 def _lattice_rows(points: np.ndarray):
@@ -200,10 +208,12 @@ def indicator_multi(spectra, directions, y, interval: TimeInterval,
     w_j = e^{-i (j - 1/2) dk x_hat . y}.  The projections x_hat . y of all
     directions come from one matrix-vector product, and all their w_j
     from one exponential of their outer product with the band's rates
-    (_phase_rates); the series are added in direction order.
+    (_phase_rates); the series are added in direction order.  Unequal
+    numbers of spectra and directions raise ValueError.
     """
     if len(directions) == 0:
         raise ValueError("no directions left to combine")
+    _check_pairs(spectra, directions)
     y = np.asarray(y, dtype=float)
     # ndarray.dot: less call overhead than @ on arrays this small
     proj = np.array([d.vec for d in directions]).dot(y)
@@ -215,12 +225,19 @@ def indicator_multi(spectra, directions, y, interval: TimeInterval,
     return 1.0 / total if total > 0.0 else float("inf")
 
 
-@functools.cache
+# _phase_rates' arrays keyed by (k_max, n): a tuple of numbers hashes in C
+_RATES: dict = {}
+
+
 def _phase_rates(band: FrequencyBand) -> np.ndarray:
     """Rates (-i dk)(j - 1/2), j = 1..ceil(N / 2), of the test-vector
     phases w_j = e^{rate_j x_hat . y}; built once per band, read-only."""
-    rates = (-1j * band.dk) * np.arange(0.5, (band.n + 1) // 2)
-    rates.flags.writeable = False
+    key = (band.k_max, band.n)
+    rates = _RATES.get(key)
+    if rates is None:
+        rates = (-1j * band.dk) * np.arange(0.5, (band.n + 1) // 2)
+        rates.flags.writeable = False
+        _RATES[key] = rates
     return rates
 
 
@@ -272,6 +289,7 @@ def filtered_field_values(spectra, directions, points: np.ndarray,
     is dropped by the filter.  combine_directions draws the directions'
     sums from one lattice_sums, so the lattice is tested once per call and
     at most one direction's sums are held beside the running total.
+    Unequal numbers of spectra and directions raise ValueError.
     """
     return combine_directions(
         lattice_sums(spectra, directions, points, interval, band), threshold)

@@ -82,9 +82,11 @@ class Spectrum:
         columns, because the rows span the ~7 decades of lambda^{-1/2}.
         F takes N^2 multiply-adds per vector u where R takes 2 N^2.  F is
         built on the first call with a value-equal (interval, band) and
-        kept, read-only, with the spectrum; R is not kept.
+        kept, read-only, with the spectrum; R is not kept.  The cache is
+        keyed by the four numbers F depends on, whose tuple hashes in C,
+        not by the dataclasses, whose generated __hash__ runs in Python.
         """
-        key = (interval, band)
+        key = (interval.t_min, interval.t_max, band.k_max, band.n)
         F = self._operators.get(key)
         if F is None:
             G = (self.eigenvectors.conj().T * band_weights(interval, band)

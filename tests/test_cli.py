@@ -1024,9 +1024,9 @@ def test_shipped_configs_parse():
 # package import
 # ---------------------------------------------------------------------------
 
-def test_import_does_not_load_scipy(tmp_path):
-    # numpy is the only runtime dependency: a whole compare run, margin
-    # exclusion included, must not import scipy
+def _compare_loads(tmp_path, module):
+    """Runs a whole compare, margin exclusion included, in a new process
+    and asserts that `module` is loaded neither by the import nor by it."""
     path = _base_config(tmp_path)
     cfg = cli.load_config(path)
     mask = m.mask_strip(cfg.grid, m.strip(cfg.trajectory, cfg.directions[0]))
@@ -1034,9 +1034,9 @@ def test_import_does_not_load_scipy(tmp_path):
     m.write_field_csv(field_path,
                       m.ScalarField(cfg.grid, np.where(mask, 1.0, 1e-9)))
     report = tmp_path / "metrics.json"
-    code = ("import sys, msimg.cli; print('scipy' in sys.modules); "
+    code = (f"import sys, msimg.cli; print({module!r} in sys.modules); "
             "rc = msimg.cli.main(sys.argv[1:]); "
-            "print(rc, 'scipy' in sys.modules)")
+            f"print(rc, {module!r} in sys.modules)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(m.__file__).parent.parent), env.get("PYTHONPATH", "")])
@@ -1047,6 +1047,16 @@ def test_import_does_not_load_scipy(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.split("\n")[:2] == ["False", "0 False"]
     assert json.loads(report.read_text())["directions"][0]["ratio"] >= 1e6
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    # numpy is the only runtime dependency
+    _compare_loads(tmp_path, "scipy")
+
+
+def test_compare_does_not_load_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma, about 10 ms per process
+    _compare_loads(tmp_path, "numpy.ma")
 
 
 def test_import_loads_no_polynomial_or_thread_pool():

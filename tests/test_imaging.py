@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import ndimage
@@ -158,6 +158,18 @@ def test_contrast_metric_errors():
     for margin in (math.inf, math.nan, -0.1):
         with pytest.raises(ValueError, match="margin"):
             m.contrast_metric(fld, half, margin=margin)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(st.floats(-1e300, 1e300),
+                                 st.sampled_from([0.0, -0.0, 1.0, math.inf])),
+                       min_size=1, max_size=59))
+@example([2.0, 0.0, 2.0])
+@example([math.inf, -0.0, 0.0, 0.0])
+def test_median_is_numpy_median_bit_for_bit(values):
+    # odd and even sizes, ties, signed zeros and +inf
+    a = np.array(values)
+    assert imaging._median(a).hex() == float(np.median(a)).hex()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -612,6 +613,86 @@ def test_phase_rates_kept_per_band():
     # w_j = e^{rate_j x_hat . y}, j = 1..ceil(N / 2), rate_j = -i dk (j - 1/2)
     assert_allclose(rates, -1j * band.dk * (np.arange(1, 5) - 0.5),
                     rtol=0, atol=0)
+
+
+def test_cache_hits_hash_no_interval_or_band(monkeypatch):
+    # the operator and phase-rate caches are keyed by the numbers in the
+    # interval and band, so a hit neither hashes nor compares either
+    traj, band, spectra = _query_spectra(2, 18, m.MODE_RIGOROUS)
+    dirs, iv = _DIRECTIONS[2], traj.interval
+    y = np.array([0.4, 1.7])
+    single = m.indicator_single(spectra[1], dirs[1], y, iv, band)
+    multi = m.indicator_multi(spectra, dirs, y, iv, band)
+
+    def refuse(*args):
+        raise AssertionError("interval or band hashed or compared")
+
+    for cls in (m.TimeInterval, m.FrequencyBand):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+        monkeypatch.setattr(cls, "__eq__", refuse)
+    equal = m.TimeInterval(iv.t_min, iv.t_max), m.FrequencyBand(band.k_max,
+                                                                band.n)
+    for args in ((iv, band), equal):
+        assert m.indicator_single(spectra[1], dirs[1], y, *args) == single
+        assert m.indicator_multi(spectra, dirs, y, *args) == multi
+
+
+@pytest.mark.parametrize("change", ["t_min", "t_max", "k_max", "n"])
+def test_cache_keys_hold_each_number(monkeypatch, change):
+    # a new t_min, t_max, k_max or n builds a new operator, and a new
+    # k_max or n new phase rates; stub weights let any band fit
+    spec = m.Spectrum(np.array([2.0, 1.0]), np.eye(2))
+    built = []
+
+    def weights(interval, band):
+        built.append((interval, band))
+        return np.ones(2)
+
+    monkeypatch.setattr(m.spectral, "band_weights", weights)
+    iv = m.TimeInterval(1.0, 3.0)
+    band = m.FrequencyBand(3 * math.pi, 18)
+    a = spec.picard_operator(iv, band)
+    rates = m.indicator._phase_rates(band)
+    value = {"t_min": 0.5, "t_max": 2.5, "k_max": math.pi, "n": 17}[change]
+    if change.startswith("t_"):
+        iv = dataclasses.replace(iv, **{change: value})
+    else:
+        band = dataclasses.replace(band, **{change: value})
+    b = spec.picard_operator(iv, band)
+    assert b is not a and len(built) == 2
+    assert spec.picard_operator(iv, band) is b and len(built) == 2
+    assert (m.indicator._phase_rates(band) is rates) == change.startswith("t_")
+
+
+@pytest.mark.parametrize("entry", ["multi, more directions",
+                                   "multi, more spectra", "lattice_sums",
+                                   "filtered_field_values"])
+def test_unequal_spectra_and_directions_are_refused(monkeypatch, entry):
+    # zip would drop the unpaired directions or spectra; the refusal
+    # names both counts and comes before any operator is built
+    traj, band, spectra = _query_spectra(2, 18, m.MODE_RIGOROUS)
+    dirs, iv = _DIRECTIONS[2], traj.interval
+    pts = m.make_grid([(-2, 2), (0, 4)], (5, 5)).points()
+
+    def refuse(*args):
+        raise AssertionError("operator built")
+
+    monkeypatch.setattr(m.Spectrum, "picard_operator", refuse)
+    y = pts[0]
+    counts, call = {
+        "multi, more directions": ((2, 3), lambda: m.indicator_multi(
+            spectra[:2], dirs, y, iv, band)),
+        "multi, more spectra": ((3, 1), lambda: m.indicator_multi(
+            spectra, dirs[:1], y, iv, band)),
+        # a generator: the refusal comes at its first draw
+        "lattice_sums": ((2, 3), m.indicator.lattice_sums(
+            spectra[:2], dirs, pts, iv, band).__next__),
+        "filtered_field_values": ((3, 2), lambda: m.filtered_field_values(
+            spectra, dirs[:2], pts, iv, band)),
+    }[entry]
+    with pytest.raises(ValueError,
+                       match="%d spectra for %d directions" % counts):
+        call()
 
 
 # ---------------------------------------------------------------------------
