@@ -68,10 +68,6 @@ class ExperimentConfig:
     output_dir: str
 
     @property
-    def interval(self) -> TimeInterval:
-        return self.trajectory.interval
-
-    @property
     def dim(self) -> int:
         return self.trajectory.dim
 
@@ -413,7 +409,7 @@ def cmd_image(config: ExperimentConfig, data_dir, out_dir) -> int:
     data = Path(data_dir) if data_dir else Path(config.output_dir)
     spectra = _load_spectra(config, data)
     directions = config.directions
-    interval, band = config.interval, config.band
+    interval, band = config.trajectory.interval, config.band
     total = len(directions)
 
     if config.grid.dim == 2:
@@ -475,7 +471,7 @@ def _score(fld: ScalarField, mask: np.ndarray, argmax: int) -> dict:
 
 def cmd_compare(config: ExperimentConfig, field_path, out_file) -> int:
     """Metrics of a field CSV against each direction's strip mask and the
-    Theta-domain of trajectory.theta_domain."""
+    Theta-domain built from the same strips, each mask by mask_strip."""
     if config.grid.dim != 2:
         raise ValidationError("compare scores 2D grids only; the slice "
                               "fields of a 3D grid are not scored")
@@ -483,9 +479,9 @@ def cmd_compare(config: ExperimentConfig, field_path, out_file) -> int:
         raise ValidationError(f"missing field file {field_path}")
     fld = imaging.read_field_csv(field_path, config.grid)
     argmax = int(np.argmax(fld.values))
+    strips = [traj_mod.strip(config.trajectory, d) for d in config.directions]
     entries = []
-    for j, d in enumerate(config.directions, start=1):
-        s = traj_mod.strip(config.trajectory, d)
+    for j, s in enumerate(strips, start=1):
         entry = {"index": j, "observable": not s.empty}
         if s.empty:
             entry["strip_empty"] = True
@@ -493,11 +489,11 @@ def cmd_compare(config: ExperimentConfig, field_path, out_file) -> int:
             entry.update(strip_lo=s.lo, strip_hi=s.hi, **_score(
                 fld, imaging.mask_strip(config.grid, s), argmax))
         entries.append(entry)
-    domain = traj_mod.theta_domain(config.trajectory, config.directions)
+    domain = traj_mod.ThetaDomain(tuple(strips))
     report = {"directions": entries, "theta_domain": None}
-    if not domain.empty:
+    if domain.strips:
         report["theta_domain"] = {"n_strips": len(domain.strips), **_score(
-            fld, domain.contains_many(config.grid.points()), argmax)}
+            fld, imaging.mask_strip(config.grid, domain), argmax)}
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out_file:
         Path(out_file).write_text(text + "\n", encoding="utf-8")

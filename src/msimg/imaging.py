@@ -8,8 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trajectory import Strip
-
 
 @dataclass(frozen=True, eq=False)
 class SearchGrid:
@@ -72,9 +70,6 @@ class ScalarField:
             raise ValueError("field values contain NaN")
         self.values = v
 
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.shape)
-
 
 @dataclass(frozen=True)
 class SliceSpec:
@@ -120,9 +115,10 @@ def slice_grid(grid3: SearchGrid, spec: SliceSpec):
     return grid2, pts3, snapped
 
 
-def mask_strip(grid: SearchGrid, s: Strip) -> np.ndarray:
-    """Boolean membership of each lattice point in the strip."""
-    return s.contains_many(grid.points())
+def mask_strip(grid: SearchGrid, region) -> np.ndarray:
+    """Boolean membership of each lattice point in `region`, a
+    trajectory.Strip or trajectory.ThetaDomain."""
+    return region.contains_many(grid.points())
 
 
 def _within_margin(mask: np.ndarray, spacing, margin: float) -> np.ndarray:
@@ -159,22 +155,19 @@ def _within_margin(mask: np.ndarray, spacing, margin: float) -> np.ndarray:
 DEFAULT_MARGIN = 0.25
 
 
-def contrast_metric(fld: ScalarField, mask: np.ndarray,
-                    margin: float = DEFAULT_MARGIN) -> dict:
+def contrast_metric(fld: ScalarField, mask: np.ndarray) -> dict:
     """Inside/outside medians of a field against a boolean mask.
 
-    Outside points within `margin` of the mask (Euclidean distance over
-    the lattice) are excluded, so the indicator's smooth shoulder at the
-    strip boundary does not dilute the outside statistic.  When no outside
-    point is left, the outside median and the ratio are NaN.
+    Outside points within DEFAULT_MARGIN of the mask (Euclidean distance
+    over the lattice) are excluded, so the indicator's smooth shoulder at
+    the strip boundary does not dilute the outside statistic.  When no
+    outside point is left, the outside median and the ratio are NaN.
     """
-    if not (math.isfinite(margin) and margin >= 0.0):
-        raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
     mask = np.asarray(mask, dtype=bool)
     if not mask.any() or mask.all():
         raise ValueError("mask must be nonempty and non-full")
     outside = ~_within_margin(mask.reshape(fld.grid.shape),
-                              fld.grid.spacing(), margin).ravel()
+                              fld.grid.spacing(), DEFAULT_MARGIN).ravel()
     inside_median = _median(fld.values[mask])
     if not outside.any():
         outside_median = ratio = math.nan
@@ -341,8 +334,8 @@ def write_pgm(path, fld: ScalarField) -> None:
     check_pgm_values(path, fld.values)
     top = float(np.max(fld.values))
     scale = 255.0 / top if top > 0 else 0.0
-    img = np.rint(fld.reshaped() * scale).astype(np.uint8)  # [i1, i2]
-    rows = img.T[::-1]  # top row = largest x2
+    img = np.rint(fld.values.reshape(fld.grid.shape) * scale).astype(np.uint8)
+    rows = img.T[::-1]  # img is [i1, i2]; top row = largest x2
     height, width = rows.shape
     cells = np.empty((height, width + 1), np.uint32)
     np.take(_PGM_CELLS, rows, out=cells[:, :-1])

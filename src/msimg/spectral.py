@@ -85,10 +85,14 @@ class Spectrum:
         kept, read-only, with the spectrum; R is not kept.  The cache is
         keyed by the four numbers F depends on, whose tuple hashes in C,
         not by the dataclasses, whose generated __hash__ runs in Python.
+        A band of other than N samples raises ValueError before a build.
         """
         key = (interval.t_min, interval.t_max, band.k_max, band.n)
         F = self._operators.get(key)
         if F is None:
+            if band.n != self.n:
+                raise ValueError(f"a band of {band.n} samples for a spectrum "
+                                 f"of {self.n} eigenvalues: they must match")
             G = (self.eigenvectors.conj().T * band_weights(interval, band)
                  / np.sqrt(self.floored_eigenvalues())[:, None])
             F = _norm_factor(_fold_conjugate_pairs(G))

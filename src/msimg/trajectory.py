@@ -37,15 +37,15 @@ PLATEAU_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TimeInterval:
-    """Emission interval [t_min, t_max] of the source."""
+    """Emission interval [t_min, t_max] of the source, finite."""
 
     t_min: float
     t_max: float
 
     def __post_init__(self):
-        if not (0.0 <= self.t_min < self.t_max):
-            raise ValueError(
-                f"need 0 <= t_min < t_max, got [{self.t_min}, {self.t_max}]")
+        if not (0.0 <= self.t_min < self.t_max < math.inf):
+            raise ValueError(f"need 0 <= t_min < t_max < inf, got "
+                             f"[{self.t_min}, {self.t_max}]")
 
     @property
     def duration(self) -> float:
@@ -68,7 +68,7 @@ class Direction:
         v = np.asarray(self.vec, dtype=float)
         if v.shape not in ((2,), (3,)):
             raise ValueError(f"direction must be a 2- or 3-vector, got shape {v.shape}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("direction vector is not unit length")
         object.__setattr__(self, "vec", v)
 
@@ -128,11 +128,13 @@ class Arc(Trajectory):
 
     def __post_init__(self):
         c = np.array(self.center, dtype=float)
-        if c.shape != (2,):
-            raise ValueError("arc center must be a 2-vector")
+        if c.shape != (2,) or not np.all(np.isfinite(c)):
+            raise ValueError("arc center must be a finite 2-vector")
         c.flags.writeable = False
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         object.__setattr__(self, "center", c)
@@ -158,11 +160,13 @@ class PiecewiseLinear(Trajectory):
     """Polyline orbit through (time, point) breakpoints, linear in between.
 
     It holds read-only copies of the times and points it is given, so the
-    velocities and speed bound it derives from them once stay theirs.
+    velocities and speed bound it derives from them once stay theirs;
+    velocities[i] is the velocity on [times[i], times[i+1]].
     """
 
     times: np.ndarray
     points: np.ndarray
+    velocities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # C order: points.dot in _range_of then rounds as on the C-ordered
@@ -171,8 +175,10 @@ class PiecewiseLinear(Trajectory):
         ps = np.array(self.points, dtype=float, order="C")
         if ts.ndim != 1 or len(ts) < 2:
             raise ValueError("need at least two breakpoints")
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("breakpoint times must be finite")
         steps = np.diff(ts)
-        if np.any(steps <= 0):
+        if not np.all(steps > 0):
             raise ValueError("breakpoint times must be strictly increasing")
         if ps.shape[0] != len(ts) or ps.ndim != 2 or ps.shape[1] not in (2, 3):
             raise ValueError("points must be (n, 2) or (n, 3) matching times")
@@ -183,7 +189,7 @@ class PiecewiseLinear(Trajectory):
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "points", ps)
         object.__setattr__(self, "interval", TimeInterval(ts[0], ts[-1]))
-        object.__setattr__(self, "_velocities", vel)
+        object.__setattr__(self, "velocities", vel)
         object.__setattr__(self, "_speed_bound", bound)
 
     @property
@@ -196,11 +202,6 @@ class PiecewiseLinear(Trajectory):
         for d in range(self.dim):
             out[:, d] = np.interp(ts, self.times, self.points[:, d])
         return out
-
-    def velocities(self) -> np.ndarray:
-        """Velocity on each segment [times[i], times[i+1]], shape (n-1, dim),
-        computed once; the array is read-only."""
-        return self._velocities
 
     def speed_bound(self):
         return self._speed_bound
@@ -221,7 +222,7 @@ class Line(PiecewiseLinear):
     offset: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.speed < 0:
+        if not self.speed >= 0:
             raise ValueError("speed must be nonnegative")
         if (self.angle is None) == (self.axis is None):
             raise ValueError("give exactly one of angle (2D) or axis (3D)")
@@ -231,7 +232,7 @@ class Line(PiecewiseLinear):
             unit = np.array(self.axis, dtype=float)
             if unit.shape != (3,):
                 raise ValueError("axis must be a 3-vector")
-            if abs(np.linalg.norm(unit) - 1.0) > 1e-12:
+            if not abs(np.linalg.norm(unit) - 1.0) <= 1e-12:
                 raise ValueError("axis must be a unit vector")
         off = (np.zeros(unit.shape[0]) if self.offset is None
                else np.array(self.offset, dtype=float))
@@ -328,7 +329,7 @@ def division_points(traj: Trajectory, direction: Direction) -> list[float]:
         if _sign3(1.0 - traj.radius) >= 0:
             return []
         return sorted(_arc_critical_times(traj, direction, 1.0))
-    slopes = 1.0 + traj.velocities().dot(direction.vec)
+    slopes = 1.0 + traj.velocities.dot(direction.vec)
     signs = [_sign3(s) for s in slopes.tolist()]
     return [float(traj.times[i]) for i in range(1, len(signs))
             if signs[i - 1] != signs[i]]
@@ -424,8 +425,8 @@ class Strip:
 def strip(traj: Trajectory, direction: Direction) -> Strip:
     """Recoverable strip [xi_min - t_min, xi_max - t_max] along x_hat.
 
-    Empty (hi < lo) exactly when the direction is non-observable; callers
-    in multi-direction pipelines skip empty strips silently.  A direction
+    Empty (hi < lo) exactly when the direction is non-observable;
+    ThetaDomain drops empty strips silently.  A direction
     observable only within CLASSIFICATION_TOL (width == T) gets the
     degenerate strip lo == hi, a hyperplane, even where rounding puts the
     raw bounds the wrong way round.
@@ -440,16 +441,17 @@ def strip(traj: Trajectory, direction: Direction) -> Strip:
 
 @dataclass(frozen=True)
 class ThetaDomain:
-    """Intersection of the strips of the observable directions used."""
+    """Intersection of the strips of the observable directions: it keeps
+    only the nonempty strips it is given, and with none contains no point."""
 
     strips: tuple
 
-    @property
-    def empty(self) -> bool:
-        return len(self.strips) == 0
+    def __post_init__(self):
+        object.__setattr__(self, "strips",
+                           tuple(s for s in self.strips if not s.empty))
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        out = np.full(len(points), not self.empty)
+        out = np.full(len(points), bool(self.strips))
         for s in self.strips:
             out &= s.contains_many(points)
         return out
@@ -459,8 +461,7 @@ def theta_domain(traj: Trajectory, directions) -> ThetaDomain:
     """Strip intersection over the observable members of `directions`."""
     if not directions:
         raise ValueError("need at least one direction")
-    strips = (strip(traj, d) for d in directions)
-    return ThetaDomain(tuple(s for s in strips if not s.empty))
+    return ThetaDomain(tuple(strip(traj, d) for d in directions))
 
 
 # ---------------------------------------------------------------------------

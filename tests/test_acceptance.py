@@ -186,7 +186,7 @@ def test_c05_dichotomy_contrast(slow_line, slow_grid, band):
     vals = _field_values(slow_line, d, slow_grid, band)
     fld = m.ScalarField(slow_grid, vals)
     mask = m.mask_strip(slow_grid, m.strip(slow_line, d))
-    met = m.contrast_metric(fld, mask, margin=0.25)
+    met = m.contrast_metric(fld, mask)
     print(f"criterion 5: inside/outside median ratio {met['ratio']:.4g}")
     assert met["ratio"] >= 10
 
@@ -312,7 +312,7 @@ def test_c10_mode_comparison(slow_line, slow_grid, band):
     fields = {}
     for mode in (m.MODE_RIGOROUS, m.MODE_PAPER):
         vals = _field_values(slow_line, d_obs, slow_grid, band, mode)
-        met = m.contrast_metric(m.ScalarField(slow_grid, vals), mask, 0.25)
+        met = m.contrast_metric(m.ScalarField(slow_grid, vals), mask)
         assert met["ratio"] >= 10, f"{mode}: contrast {met['ratio']}"
         non = _field_values(slow_line, d_non, slow_grid, band, mode)
         assert non.max() <= 1e-3, f"{mode}: suppression {non.max()}"

@@ -582,7 +582,8 @@ def test_image_3d_slices(tmp_path, capsys, monkeypatch):
         data / f"farfield_{j}.csv", d, cfg.band)), cfg.mode)
         for j, d in enumerate(cfg.directions, start=1)]
     planes = [m.slice_grid(cfg.grid, s)[:2] for s in cfg.slices]
-    sums = [[m.picard_sums_grid(spec, d, pts, cfg.interval, cfg.band)
+    iv = cfg.trajectory.interval
+    sums = [[m.picard_sums_grid(spec, d, pts, iv, cfg.band)
              for _, pts in planes]
             for spec, d in zip(spectra, cfg.directions)]
     # direction 1 meets the threshold on slice 1 only: a filter decided per
@@ -752,8 +753,35 @@ def test_compare_theta_domain_is_strip_conjunction(tmp_path):
     assert want.any() and not want.all()
     expected = {"n_strips": 3,
                 "argmax_in_mask": bool(want[np.argmax(fld.values)]),
-                **m.contrast_metric(fld, want, 0.25)}
+                **m.contrast_metric(fld, want)}
     assert json.loads(out.read_text())["theta_domain"] == expected
+
+
+def test_compare_derives_each_strip_once(tmp_path, monkeypatch):
+    # arc.json has 6 directions: one strip each, scored per direction and
+    # intersected into the Theta-domain without deriving them again
+    path = Path(__file__).resolve().parents[1] / "configs" / "arc.json"
+    cfg = cli.load_config(path)
+    field_path = tmp_path / "field.csv"
+    m.write_field_csv(field_path, m.ScalarField(
+        cfg.grid, np.random.default_rng(5).uniform(size=cfg.grid.size)))
+    strip, calls = m.trajectory.strip, []
+
+    def counted(traj, d):
+        calls.append(d)
+        return strip(traj, d)
+
+    def refuse(*args):
+        raise AssertionError("theta_domain derives the strips again")
+
+    monkeypatch.setattr(m.trajectory, "strip", counted)
+    monkeypatch.setattr(m.trajectory, "theta_domain", refuse)
+    out = tmp_path / "metrics.json"
+    assert _run("compare", "--config", path, "--field", field_path,
+                "--out", out) == 0
+    assert [d.theta for d in calls] == [d.theta for d in cfg.directions]
+    assert len(calls) == 6
+    assert json.loads(out.read_text())["theta_domain"] is not None
 
 
 def test_compare_writes_non_finite_metrics_as_null(tmp_path):

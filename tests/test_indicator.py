@@ -469,7 +469,7 @@ def test_dichotomy_median_ratio(vertical_line, default_band):
                               default_band)
     fld = m.ScalarField(grid, 1.0 / sums)
     mask = m.mask_strip(grid, m.strip(vertical_line, d))
-    met = m.contrast_metric(fld, mask, margin=0.25)
+    met = m.contrast_metric(fld, mask)
     assert met["ratio"] >= 10
 
 
@@ -639,16 +639,18 @@ def test_cache_hits_hash_no_interval_or_band(monkeypatch):
 
 @pytest.mark.parametrize("change", ["t_min", "t_max", "k_max", "n"])
 def test_cache_keys_hold_each_number(monkeypatch, change):
-    # a new t_min, t_max, k_max or n builds a new operator, and a new
-    # k_max or n new phase rates; stub weights let any band fit
-    spec = m.Spectrum(np.array([2.0, 1.0]), np.eye(2))
+    # a new t_min, t_max or k_max builds a new operator, and a new k_max
+    # builds new phase rates; a band whose size is not the spectrum's is
+    # refused before any weights are built
+    spec = m.Spectrum(np.arange(18.0, 0.0, -1.0), np.eye(18))
     built = []
+    weights = m.spectral.band_weights
 
-    def weights(interval, band):
+    def counted(interval, band):
         built.append((interval, band))
-        return np.ones(2)
+        return weights(interval, band)
 
-    monkeypatch.setattr(m.spectral, "band_weights", weights)
+    monkeypatch.setattr(m.spectral, "band_weights", counted)
     iv = m.TimeInterval(1.0, 3.0)
     band = m.FrequencyBand(3 * math.pi, 18)
     a = spec.picard_operator(iv, band)
@@ -658,10 +660,31 @@ def test_cache_keys_hold_each_number(monkeypatch, change):
         iv = dataclasses.replace(iv, **{change: value})
     else:
         band = dataclasses.replace(band, **{change: value})
+    if change == "n":
+        with pytest.raises(ValueError, match="band of 17 samples for a "
+                           "spectrum of 18 eigenvalues"):
+            spec.picard_operator(iv, band)
+        assert len(built) == 1
+        return
     b = spec.picard_operator(iv, band)
     assert b is not a and len(built) == 2
     assert spec.picard_operator(iv, band) is b and len(built) == 2
     assert (m.indicator._phase_rates(band) is rates) == change.startswith("t_")
+
+
+@pytest.mark.parametrize("n", [1, 17])
+def test_band_of_another_size_is_refused(n):
+    # a spectrum of 18 eigenvalues with a band of n samples: 17 once failed
+    # to broadcast inside numpy, and 1 built an operator and sums of ~1e-20
+    traj, band, spectra = _query_spectra(2, 18, m.MODE_RIGOROUS)
+    d, iv = _DIRECTIONS[2][0], traj.interval
+    other = m.FrequencyBand(band.k_max, n)
+    pts = m.make_grid([(-2, 2), (0, 4)], (5, 5)).points()
+    match = f"band of {n} samples for a spectrum of 18 eigenvalues"
+    with pytest.raises(ValueError, match=match):
+        m.picard_sums_grid(spectra[0], d, pts, iv, other)
+    with pytest.raises(ValueError, match=match):
+        m.indicator_single(spectra[0], d, pts[0], iv, other)
 
 
 @pytest.mark.parametrize("entry", ["multi, more directions",

@@ -52,7 +52,7 @@ def test_position_piecewise(broken_line):
 
 def test_velocity_piecewise_sides(broken_line):
     # one velocity per segment: the left and right sides of the breakpoint
-    assert_allclose(broken_line.velocities(), [[-1.0, -1.0], [1.0, -1.0]],
+    assert_allclose(broken_line.velocities, [[-1.0, -1.0], [1.0, -1.0]],
                     atol=1e-15)
     assert broken_line.times.tolist() == [0.0, 1.0, 2.0]
 
@@ -368,8 +368,46 @@ def test_theta_domain_single_direction(vertical_line):
 
 def test_theta_domain_all_non_observable(broken_line):
     dom = m.theta_domain(broken_line, [m.Direction.from_angle(math.pi / 4)])
-    assert dom.empty
+    assert dom.strips == ()
     assert not dom.contains_many([(2.5, 2.5)]).any()
+
+
+def test_theta_domain_keeps_only_nonempty_strips(vertical_line, broken_line):
+    d = m.Direction.from_angle(math.pi / 2)
+    s = m.strip(vertical_line, d)
+    empty = m.strip(broken_line, m.Direction.from_angle(math.pi / 4))
+    assert empty.empty and not s.empty
+    assert m.ThetaDomain((empty, s)).strips == (s,)
+    dom = m.ThetaDomain((empty, empty))
+    assert dom.strips == ()
+    assert not dom.contains_many([(2.5, 2.5), (0.0, 2.0)]).any()
+
+
+@pytest.mark.parametrize("build", [
+    "direction nan", "direction nan component", "polyline nan time",
+    "polyline inf time", "arc nan radius", "arc inf radius",
+    "arc inf center", "arc nan center", "arc nan phase", "interval inf",
+    "line nan axis", "line nan speed"])
+def test_constructors_refuse_non_finite_input(build):
+    nan, inf = math.nan, math.inf
+    pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]
+    iv = m.TimeInterval(0.0, 1.0)
+    call = {
+        "direction nan": lambda: m.Direction(np.array([nan, nan])),
+        "direction nan component": lambda: m.Direction(np.array([1.0, nan])),
+        "polyline nan time": lambda: m.PiecewiseLinear([0, nan, 2], pts),
+        "polyline inf time": lambda: m.PiecewiseLinear([0, 1, inf], pts),
+        "arc nan radius": lambda: m.Arc((0.0, 0.0), iv, radius=nan),
+        "arc inf radius": lambda: m.Arc((0.0, 0.0), iv, radius=inf),
+        "arc inf center": lambda: m.Arc((inf, 0.0), iv),
+        "arc nan center": lambda: m.Arc((0.0, nan), iv),
+        "arc nan phase": lambda: m.Arc((0.0, 0.0), iv, phase=nan),
+        "interval inf": lambda: m.TimeInterval(0.0, inf),
+        "line nan axis": lambda: m.Line(1.0, iv, axis=(nan, nan, nan)),
+        "line nan speed": lambda: m.Line(nan, iv, angle=0.0),
+    }[build]
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_theta_domain_requires_directions(vertical_line):
@@ -757,8 +795,8 @@ def test_polyline_holds_read_only_copies():
     times, points = np.array([0.0, 1.0, 2.0]), np.array([[3.0, 3], [2, 2],
                                                          [3, 1]])
     traj = m.PiecewiseLinear(times, points)
-    v = traj.velocities()
-    assert v is traj.velocities()
+    v = traj.velocities
+    assert not v.flags.writeable
     assert_allclose(v, [[-1.0, -1.0], [1.0, -1.0]], rtol=0, atol=0)
     times[2], points[2] = 5.0, (10.0, 0.0)
     assert traj.times[2] == 2.0 and traj.points[2].tolist() == [3.0, 1.0]
