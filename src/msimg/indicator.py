@@ -30,9 +30,11 @@ F's columns.  Every indicator evaluates ||F u||^2, N^2 multiply-adds per
 point where R takes 2 N^2 and the complex G 4 N^2.  On a lattice the
 grid kernel rotates F once per row instead of building each point's u
 (lattice_sums), so no lattice point takes a cosine, sine or complex
-product of its own.  At a single point the u of every direction come
-from one exponential of the directions' projections times the band's
-phase rates.  The series is a trigonometric polynomial in
+product of its own.  At a single point indicator_multi takes the u of
+every direction from one exponential of the directions' projections
+times the band's phase rates, and indicator_single the u of its one
+direction from one exponential of that projection times the same rates,
+with the same bits.  The series is a trigonometric polynomial in
 x_hat . y with period 2 pi / dk, so a search region wider than that along
 x_hat sees the strip repeated (aliased).
 On a grid every indicator value is W = 1 / S of the summed series S,
@@ -182,8 +184,20 @@ def _phases(proj: np.ndarray, dk: float, h: int) -> np.ndarray:
 
 def indicator_single(spectrum: Spectrum, direction: Direction, y,
                      interval: TimeInterval, band: FrequencyBand) -> float:
-    """Single-direction indicator W(y), the reciprocal Picard sum."""
-    return indicator_multi([spectrum], [direction], y, interval, band)
+    """Single-direction indicator W(y), the reciprocal Picard sum ||F u||^2.
+
+    It applies to its one direction the operations indicator_multi
+    applies to each of its directions, so it equals indicator_multi(
+    [spectrum], [direction], ...) bit for bit without the batch path's
+    (1, dim) and (1, h) arrays.  A point whose length is not the
+    direction's raises ValueError.
+    """
+    # ndarray.dot: less call overhead than @ on arrays this small
+    p = direction.vec.dot(np.asarray(y, dtype=float))
+    u = np.exp(p * _phase_rates(band)).view(float)
+    c = spectrum.picard_operator(interval, band).dot(u)
+    total = float(c.dot(c))
+    return 1.0 / total if total > 0.0 else float("inf")
 
 
 def direction_filter(grid_sums, threshold: float = DEFAULT_THRESHOLD) -> list[int]:

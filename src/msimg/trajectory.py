@@ -227,6 +227,8 @@ class Line(PiecewiseLinear):
         if (self.angle is None) == (self.axis is None):
             raise ValueError("give exactly one of angle (2D) or axis (3D)")
         if self.angle is not None:
+            if not math.isfinite(self.angle):
+                raise ValueError(f"angle must be finite, got {self.angle}")
             unit = np.array([math.cos(self.angle), math.sin(self.angle)])
         else:
             unit = np.array(self.axis, dtype=float)
@@ -238,6 +240,8 @@ class Line(PiecewiseLinear):
                else np.array(self.offset, dtype=float))
         if off.shape != unit.shape:
             raise ValueError("offset dimension does not match direction")
+        if not np.all(np.isfinite(off)):
+            raise ValueError("offset must be finite")
         unit.flags.writeable = off.flags.writeable = False
         object.__setattr__(self, "axis", unit if self.angle is None else None)
         object.__setattr__(self, "offset", off)
@@ -347,7 +351,7 @@ def _range_of(traj: Trajectory, direction: Direction, c: float):
     positions(ts) @ x_hat: BLAS may round a row differently in a product
     with another row count.  The values
     are reduced by Python min and max, cheaper than numpy's reductions on
-    so few values.
+    so few values; a NaN value anywhere gives the range (nan, nan).
     """
     _check_dims(traj, direction)
     # ndarray.dot: the same product as @, with less call overhead
@@ -359,6 +363,11 @@ def _range_of(traj: Trajectory, direction: Direction, c: float):
     else:
         ts, proj = traj.times, traj.points.dot(direction.vec)
     vals = (ts + proj if c else proj).tolist()
+    # min and max skip a NaN that is not first; the sum is NaN when a value
+    # is, or when +inf meets -inf, which the second test tells apart
+    total = sum(vals)
+    if total != total and any(map(math.isnan, vals)):
+        return math.nan, math.nan
     return min(vals), max(vals)
 
 
@@ -405,7 +414,8 @@ def projection_hull(traj: Trajectory, direction: Direction) -> tuple[float, floa
 
 @dataclass(frozen=True, eq=False)
 class Strip:
-    """Constraint lo <= x_hat . y <= hi; empty when hi < lo."""
+    """Constraint lo <= x_hat . y <= hi; empty unless lo <= hi (hi < lo,
+    or a NaN bound)."""
 
     direction: Direction
     lo: float
@@ -413,7 +423,7 @@ class Strip:
 
     @property
     def empty(self) -> bool:
-        return self.hi < self.lo
+        return not self.lo <= self.hi
 
     def contains_many(self, points: np.ndarray) -> np.ndarray:
         if self.empty:
@@ -425,11 +435,11 @@ class Strip:
 def strip(traj: Trajectory, direction: Direction) -> Strip:
     """Recoverable strip [xi_min - t_min, xi_max - t_max] along x_hat.
 
-    Empty (hi < lo) exactly when the direction is non-observable;
-    ThetaDomain drops empty strips silently.  A direction
-    observable only within CLASSIFICATION_TOL (width == T) gets the
-    degenerate strip lo == hi, a hyperplane, even where rounding puts the
-    raw bounds the wrong way round.
+    Empty (hi < lo, or NaN bounds from a NaN range) exactly when the
+    direction is non-observable; ThetaDomain drops empty strips
+    silently.  A direction observable only within CLASSIFICATION_TOL
+    (width == T) gets the degenerate strip lo == hi, a hyperplane, even
+    where rounding puts the raw bounds the wrong way round.
     """
     rep = xi_extrema(traj, direction)
     lo = rep.xi_min - traj.interval.t_min

@@ -687,6 +687,18 @@ def test_band_of_another_size_is_refused(n):
         m.indicator_single(spectra[0], d, pts[0], iv, other)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_of_another_length_is_refused(dim):
+    # a 3-vector for a 2D direction, a 2-vector for a 3D one
+    traj, band, spectra = _query_spectra(dim, 18, m.MODE_RIGOROUS)
+    y = np.full(5 - dim, 0.5)
+    with pytest.raises(ValueError):
+        m.indicator_single(spectra[0], _DIRECTIONS[dim][0], y,
+                           traj.interval, band)
+    with pytest.raises(ValueError):
+        m.indicator_multi(spectra, _DIRECTIONS[dim], y, traj.interval, band)
+
+
 @pytest.mark.parametrize("entry", ["multi, more directions",
                                    "multi, more spectra", "lattice_sums",
                                    "filtered_field_values"])

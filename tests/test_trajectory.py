@@ -383,11 +383,50 @@ def test_theta_domain_keeps_only_nonempty_strips(vertical_line, broken_line):
     assert not dom.contains_many([(2.5, 2.5), (0.0, 2.0)]).any()
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, math.nan), (math.nan, 1.0),
+                                    (0.0, math.nan)])
+def test_strip_with_a_nan_bound_is_empty(vertical_line, lo, hi):
+    d = m.Direction.from_angle(math.pi / 2)
+    s = m.strip(vertical_line, d)
+    bad = m.Strip(d, lo, hi)
+    assert bad.empty
+    pts = np.array([[0.0, 0.5], [0.0, 2.0], [1.5, 2.9], [0.0, 3.5]])
+    assert not bad.contains_many(pts).any()
+    dom = m.ThetaDomain((s, bad))
+    assert dom.strips == (s,)
+    assert list(dom.contains_many(pts)) == list(s.contains_many(pts))
+
+
+@pytest.mark.parametrize("nan_at", [0, 1, 2])
+def test_nan_vertex_gives_a_nan_range_wherever_it_sits(nan_at):
+    # Python min and max skip a NaN that is not the first value; read
+    # without it, the NaN-in-the-middle orbit would be observable along
+    # (1, 0) with strip [0, 1] and hull (0, 1)
+    pts = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]
+    pts[nan_at] = [math.nan, 0.0]
+    traj = m.PiecewiseLinear([0.0, 1.0, 2.0], pts)
+    d = m.Direction.from_angle(0.0)
+    assert not m.classify(traj, d)
+    assert m.strip(traj, d).empty
+    assert all(map(math.isnan, m.projection_hull(traj, d)))
+    rep = m.xi_extrema(traj, d)
+    assert math.isnan(rep.xi_min) and math.isnan(rep.xi_max)
+
+
+def test_infinite_vertices_keep_their_infinite_range():
+    # -inf and inf sum to NaN, but no value is NaN: the range stays
+    traj = m.PiecewiseLinear([0.0, 1.0], [[-math.inf, 0.0], [math.inf, 0.0]])
+    d = m.Direction.from_angle(0.0)
+    assert m.projection_hull(traj, d) == (-math.inf, math.inf)
+    assert m.classify(traj, d)
+
+
 @pytest.mark.parametrize("build", [
     "direction nan", "direction nan component", "polyline nan time",
     "polyline inf time", "arc nan radius", "arc inf radius",
     "arc inf center", "arc nan center", "arc nan phase", "interval inf",
-    "line nan axis", "line nan speed"])
+    "line nan axis", "line nan speed", "line nan angle", "line inf angle",
+    "line nan offset"])
 def test_constructors_refuse_non_finite_input(build):
     nan, inf = math.nan, math.inf
     pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]
@@ -405,9 +444,15 @@ def test_constructors_refuse_non_finite_input(build):
         "interval inf": lambda: m.TimeInterval(0.0, inf),
         "line nan axis": lambda: m.Line(1.0, iv, axis=(nan, nan, nan)),
         "line nan speed": lambda: m.Line(nan, iv, angle=0.0),
+        "line nan angle": lambda: m.Line(1.0, iv, angle=nan),
+        "line inf angle": lambda: m.Line(1.0, iv, angle=inf),
+        "line nan offset": lambda: m.Line(1.0, iv, angle=0.0,
+                                          offset=(0.0, nan)),
     }[build]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as refused:
         call()
+    if build.startswith("line "):  # a Line's refusal names its field
+        assert build.split()[-1] in str(refused.value)
 
 
 def test_theta_domain_requires_directions(vertical_line):
