@@ -201,11 +201,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                          _field(spec, "band.count", _integral))
     _check_size("band.count", 16 * band.n ** 2, MAX_OPERATOR_BYTES,
                 f"{band.n} x {band.n} complex operator")
-    iv = traj.interval
-    # |h(t)| <= t_max + |a(t_min)| + max|a'| T, in Python floats: a huge
-    # orbit's bound is inf or NaN (inf * 0), with no numpy overflow warning
-    bound = iv.t_max + sum(map(abs, traj.positions([iv.t_min])[0].tolist())) \
-        + traj.speed_bound() * iv.duration
+    # |h(t)| <= t_max + max |a(t)|, the orbit's reach: |center| + radius on
+    # an arc, the largest vertex norm on a polyline (np.max keeps a NaN that
+    # Python max skips), by math.hypot, which warns nothing on a huge orbit
+    reach = (math.hypot(*traj.center.tolist()) + traj.radius
+             if isinstance(traj, Arc) else
+             float(np.max([math.hypot(*p) for p in traj.points.tolist()])))
+    bound = traj.interval.t_max + reach
     if not math.isfinite(bound):
         raise ValidationError("band.k_max: the orbit's positions overflow, "
                               "so its far-field phases k h(t) have no bound")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,13 @@ class SearchGrid:
     def __post_init__(self):
         if len(self.bounds) not in (2, 3) or len(self.bounds) != len(self.resolution):
             raise ValueError("bounds/resolution must describe 2 or 3 axes")
-        for (lo, hi), r in zip(self.bounds, self.resolution):
+        for axis, ((lo, hi), r) in enumerate(zip(self.bounds, self.resolution)):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"axis {axis} bounds [{lo}, {hi}] must be "
+                                 f"finite")
+            if not isinstance(r, numbers.Integral):
+                raise ValueError(f"axis {axis} resolution must be an "
+                                 f"integer, got {r!r}")
             if not lo < hi:
                 raise ValueError(f"degenerate axis bounds [{lo}, {hi}]")
             if r < 2:

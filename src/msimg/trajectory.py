@@ -35,6 +35,11 @@ CLASSIFICATION_TOL = 1e-9
 PLATEAU_TOL = 1e-10
 
 
+def _require_finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TimeInterval:
     """Emission interval [t_min, t_max] of the source, finite."""
@@ -79,11 +84,14 @@ class Direction:
     @classmethod
     def from_angle(cls, theta: float) -> "Direction":
         """Planar direction (cos theta, sin theta)."""
+        _require_finite("theta", theta)
         return cls(np.array([math.cos(theta), math.sin(theta)]), theta=theta)
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "Direction":
         """Spherical direction (sin t cos p, sin t sin p, cos t)."""
+        _require_finite("theta", theta)
+        _require_finite("phi", phi)
         st = math.sin(theta)
         v = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
         return cls(v, theta=theta, phi=phi)
@@ -96,23 +104,8 @@ class Direction:
 # Orbit variants
 # ---------------------------------------------------------------------------
 
-class Trajectory:
-    """Base orbit type: positions over a TimeInterval."""
-
-    interval: TimeInterval
-    dim: int
-
-    def positions(self, ts: np.ndarray) -> np.ndarray:
-        """Positions at an array of times, shape (len(ts), dim)."""
-        raise NotImplementedError
-
-    def speed_bound(self) -> float:
-        """Upper bound on |a'(t)| over the interval."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True, eq=False)
-class Arc(Trajectory):
+class Arc:
     """Circular motion center + radius*(cos(s*t + phase), sin(s*t + phase)).
 
     `orientation` s = +1 traverses counterclockwise, -1 clockwise; phase
@@ -151,17 +144,14 @@ class Arc(Trajectory):
         out += self.center
         return out
 
-    def speed_bound(self):
-        return self.radius
-
 
 @dataclass(frozen=True, eq=False)
-class PiecewiseLinear(Trajectory):
+class PiecewiseLinear:
     """Polyline orbit through (time, point) breakpoints, linear in between.
 
     It holds read-only copies of the times and points it is given, so the
-    velocities and speed bound it derives from them once stay theirs;
-    velocities[i] is the velocity on [times[i], times[i+1]].
+    velocities it derives from them once stay theirs; velocities[i] is the
+    velocity on [times[i], times[i+1]].
     """
 
     times: np.ndarray
@@ -182,15 +172,13 @@ class PiecewiseLinear(Trajectory):
             raise ValueError("breakpoint times must be strictly increasing")
         if ps.shape[0] != len(ts) or ps.ndim != 2 or ps.shape[1] not in (2, 3):
             raise ValueError("points must be (n, 2) or (n, 3) matching times")
-        with np.errstate(over="ignore"):  # a huge orbit's bound is inf
+        with np.errstate(over="ignore"):  # a huge orbit's velocity is inf
             vel = np.diff(ps, axis=0) / steps[:, None]
-            bound = float(np.max(np.linalg.norm(vel, axis=1)))
         ts.flags.writeable = ps.flags.writeable = vel.flags.writeable = False
         object.__setattr__(self, "times", ts)
         object.__setattr__(self, "points", ps)
         object.__setattr__(self, "interval", TimeInterval(ts[0], ts[-1]))
         object.__setattr__(self, "velocities", vel)
-        object.__setattr__(self, "_speed_bound", bound)
 
     @property
     def dim(self) -> int:
@@ -202,9 +190,6 @@ class PiecewiseLinear(Trajectory):
         for d in range(self.dim):
             out[:, d] = np.interp(ts, self.times, self.points[:, d])
         return out
-
-    def speed_bound(self):
-        return self._speed_bound
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +212,7 @@ class Line(PiecewiseLinear):
         if (self.angle is None) == (self.axis is None):
             raise ValueError("give exactly one of angle (2D) or axis (3D)")
         if self.angle is not None:
-            if not math.isfinite(self.angle):
-                raise ValueError(f"angle must be finite, got {self.angle}")
+            _require_finite("angle", self.angle)
             unit = np.array([math.cos(self.angle), math.sin(self.angle)])
         else:
             unit = np.array(self.axis, dtype=float)
@@ -254,12 +238,13 @@ class Line(PiecewiseLinear):
             super().__post_init__()
         object.__setattr__(self, "interval", iv)  # as given, not rebuilt
 
-    def speed_bound(self):
-        return self.speed
-
 
 class Sampled(PiecewiseLinear):
     """Orbit given by a dense (time, point) table, linearly interpolated."""
+
+
+# Every orbit: a polyline (a Line or Sampled included) or an arc
+Trajectory = Arc | PiecewiseLinear
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from msimg.trajectory import Direction, PiecewiseLinear, Trajectory
+from msimg.trajectory import Arc, Direction, Trajectory
 
 QUAD_TOL = 1e-10
 GL_ORDER = 20
@@ -31,10 +31,12 @@ def phase_integral(traj: Trajectory, direction: Direction, k: float,
     piece the panel count keeps at least GL_ORDER nodes per phase
     oscillation, and `refine` doublings shrink the panels further.
     """
-    iv = traj.interval
-    rate = abs(k) * (1.0 + traj.speed_bound()) / (2.0 * math.pi)  # osc per unit time
-    bounds = (traj.times.tolist() if isinstance(traj, PiecewiseLinear)
-              else [iv.t_min, iv.t_max])
+    if isinstance(traj, Arc):  # unit angular rate: speed radius
+        speed, bounds = traj.radius, [traj.interval.t_min, traj.interval.t_max]
+    else:  # the largest segment speed
+        speed = float(np.max(np.linalg.norm(traj.velocities, axis=1)))
+        bounds = traj.times.tolist()
+    rate = abs(k) * (1.0 + speed) / (2.0 * math.pi)  # osc per unit time
     gl_nodes, gl_weights = gauss_legendre()
     total = 0.0 + 0.0j
     for a, b in zip(bounds[:-1], bounds[1:]):

@@ -183,6 +183,20 @@ def test_config_rejects_out_of_range_numbers(tmp_path, capsys, overrides,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x, status", [(3e4, 0), (6e4, 2)])
+def test_phase_guard_bounds_h_by_the_orbit_reach(tmp_path, capsys, x,
+                                                  status):
+    # |h(t)| <= t_max + max |a(t)| = 1 + x, the largest vertex norm: the
+    # phases k h(t) round by eps * 3 pi * 30001 = 6.3e-11 at x = 3e4, below
+    # MAX_PHASE_ERROR, and by 1.26e-10 at x = 6e4
+    path = _base_config(tmp_path, trajectory={
+        "variant": "piecewise", "times": [0.0, 1.0],
+        "points": [[x, 0.0], [0.0, 0.0]]})
+    assert _run("classify", "--config", path) == status
+    err = capsys.readouterr().err
+    assert ("band.k_max" in err and "* 60001 round by" in err) == bool(status)
+
+
 def test_config_names_an_orbit_that_overflows(tmp_path, capsys):
     # speed t_min overflows to inf, and inf * 0 along the axis's zero
     # component makes the position at t_min NaN: the refusal names the

@@ -60,6 +60,23 @@ def test_make_grid_validation():
         m.make_grid([(2, 2), (0, 1)], (10, 10))
     with pytest.raises(ValueError):
         m.make_grid([(0, 1), (0, 1)], (10, 1))
+    # a numpy integer is an integer
+    assert m.make_grid([(0, 1)] * 2, (np.int64(3), 3)).size == 9
+
+
+@pytest.mark.parametrize("bounds, resolution, message", [
+    ([(-math.inf, 0), (0, 1)], (3, 3), "axis 0 bounds [-inf, 0] must be finite"),
+    ([(0, 1), (0, math.nan)], (3, 3), "axis 1 bounds [0, nan] must be finite"),
+    ([(0, 1), (0, 1)], (3.5, 3), "axis 0 resolution must be an integer, "
+                                 "got 3.5"),
+    ([(0, 1)] * 3, (3, 3, 3.0), "axis 2 resolution must be an integer, "
+                                "got 3.0"),
+], ids=["inf_bound", "nan_bound", "fractional_resolution", "float_resolution"])
+def test_make_grid_names_the_axis_it_refuses(bounds, resolution, message):
+    # the lattice would hold NaN points or a fractional size
+    with pytest.raises(ValueError) as refused:
+        m.make_grid(bounds, resolution)
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------

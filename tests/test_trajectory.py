@@ -25,8 +25,8 @@ def test_position_line(vertical_line):
 def test_line_is_the_polyline_of_its_endpoints():
     # a Line is the two-breakpoint PiecewiseLinear through offset + speed t
     # unit at t_min and t_max; h' is one constant, so it has no division
-    # point, its speed bound is its speed, and its positions clamp outside
-    # the interval like every polyline's
+    # point, and its positions clamp outside the interval like every
+    # polyline's
     iv = m.TimeInterval(1.0, 3.0)
     line = m.Line(4.0, angle=math.pi / 4, offset=(0.5, -1.0), interval=iv)
     unit = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
@@ -34,7 +34,7 @@ def test_line_is_the_polyline_of_its_endpoints():
     assert line.times.tolist() == [1.0, 3.0]
     assert line.points.tolist() == [(np.array([0.5, -1.0]) + 4.0 * t * unit)
                                     .tolist() for t in (1.0, 3.0)]
-    assert line.speed_bound() == 4.0 and not hasattr(line, "vertices")
+    assert not hasattr(line, "vertices")
     backward = m.Direction.from_angle(5 * math.pi / 4)  # h' = 1 - 4
     assert m.division_points(line, backward) == []
     assert line.positions([0.0, 5.0]).tolist() == line.points.tolist()
@@ -55,18 +55,6 @@ def test_velocity_piecewise_sides(broken_line):
     assert_allclose(broken_line.velocities, [[-1.0, -1.0], [1.0, -1.0]],
                     atol=1e-15)
     assert broken_line.times.tolist() == [0.0, 1.0, 2.0]
-
-
-def test_speed_bound(vertical_line, fast_diagonal, wide_clockwise_arc,
-                     broken_line):
-    assert vertical_line.speed_bound() == 1.0
-    assert fast_diagonal.speed_bound() == 4.0
-    assert wide_clockwise_arc.speed_bound() == 2 * math.sqrt(2)
-    # the largest segment speed; both segments of broken_line have sqrt 2
-    assert broken_line.speed_bound() == pytest.approx(math.sqrt(2), abs=1e-15)
-    sampled = m.Sampled([0.0, 1.0, 1.5, 3.0],
-                        [(0, 0), (3, 4), (3, 4.5), (3, 4.5)])
-    assert sampled.speed_bound() == pytest.approx(5.0, abs=1e-15)
 
 
 def test_sampled_matches_table():
@@ -426,7 +414,8 @@ def test_infinite_vertices_keep_their_infinite_range():
     "polyline inf time", "arc nan radius", "arc inf radius",
     "arc inf center", "arc nan center", "arc nan phase", "interval inf",
     "line nan axis", "line nan speed", "line nan angle", "line inf angle",
-    "line nan offset"])
+    "line nan offset", "direction inf theta", "direction nan theta",
+    "direction3 inf theta", "direction3 nan phi"])
 def test_constructors_refuse_non_finite_input(build):
     nan, inf = math.nan, math.inf
     pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]
@@ -448,11 +437,18 @@ def test_constructors_refuse_non_finite_input(build):
         "line inf angle": lambda: m.Line(1.0, iv, angle=inf),
         "line nan offset": lambda: m.Line(1.0, iv, angle=0.0,
                                           offset=(0.0, nan)),
+        "direction inf theta": lambda: m.Direction.from_angle(inf),
+        "direction nan theta": lambda: m.Direction.from_angle(nan),
+        "direction3 inf theta": lambda: m.Direction.from_angles(inf, 0.0),
+        "direction3 nan phi": lambda: m.Direction.from_angles(0.5, nan),
     }[build]
     with pytest.raises(ValueError) as refused:
         call()
     if build.startswith("line "):  # a Line's refusal names its field
         assert build.split()[-1] in str(refused.value)
+    if build.endswith(("theta", "phi")):  # so does a Direction's angle
+        *_, value, name = build.split()
+        assert f"{name} must be finite, got {value}" in str(refused.value)
 
 
 def test_theta_domain_requires_directions(vertical_line):
